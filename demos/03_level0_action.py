@@ -9,8 +9,9 @@ it pins every ordering convention in the construction.
 
 from qlzero.laurent import LaurentPoly
 from qlzero.level0 import (e0_apply, evaluation_module_suite, f0_apply,
-                           rhosg_check, series_e0, t0_apply)
+                           rhosg_check, t0_apply)
 from qlzero.scalars import qpow
+from qlzero.series import series_e0
 from qlzero.tensor import MINUS, PLUS, TensorPoly
 from qlzero.windows import Window
 

@@ -24,52 +24,58 @@ import itertools
 from .hecke import G_poly, S_apply
 from .laurent import LaurentPoly, lp_permute, lp_scale, lp_swap
 from .report import CheckReport, check, timer
-from .scalars import RatFuncQ, qpow
-from .tensor import MINUS, PLUS, TensorPoly, singlet_vector
+from .scalars import QQ_ONE, RatFuncQ, qpow
+from .tensor import MINUS, PLUS, TensorPoly, singlet_contract, singlet_vector
 from .windows import Window
 
 
-def Z_apply(f: LaurentPoly, p: RatFuncQ) -> LaurentPoly:
-    """Z = K_{1,2}...K_{1,N} p^{theta_1}: f goes to f(p z_N, z_1, ..., z_{N-1})."""
+def Z_apply(f: LaurentPoly, p: RatFuncQ, active: int | None = None) -> LaurentPoly:
+    """Z = K_{1,2}...K_{1,N} p^{theta_1}: f goes to f(p z_N, z_1, ..., z_{N-1}).
+
+    Only the first `active` variables (default all) take part; the rest are
+    spectators."""
     out = lp_scale(f, 1, p)
-    for k in range(f.arity, 1, -1):
+    for k in range(f.arity if active is None else active, 1, -1):
         out = lp_swap(out, 1, k)
     return out
 
 
-def Z_inv_apply(f: LaurentPoly, p: RatFuncQ) -> LaurentPoly:
+def Z_inv_apply(f: LaurentPoly, p: RatFuncQ, active: int | None = None) -> LaurentPoly:
     """f goes to f(z_2, ..., z_N, p^{-1} z_1): the cyclic mode rotation."""
     out = f
-    for k in range(2, f.arity + 1):
+    for k in range(2, (f.arity if active is None else active) + 1):
         out = lp_swap(out, 1, k)
     return lp_scale(out, 1, p.inv())
 
 
-def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1) -> LaurentPoly:
-    """Y_j^{+-1} on a Laurent polynomial in N variables."""
-    N = f.arity
+def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1,
+           active: int | None = None) -> LaurentPoly:
+    """Y_j^{+-1} on a Laurent polynomial, acting on its first `active`
+    variables (default all; the rest are spectators)."""
+    N = f.arity if active is None else active
     if not (1 <= j <= N):
         raise IndexError("Y index out of range")
     if exponent > 0:
         out = f
         for k in range(j - 1, 0, -1):        # G_{j-1,j} first, G_{1,2} last
             out = G_poly(out, k, k + 1, 1)
-        out = Z_apply(out, p)
+        out = Z_apply(out, p, N)
         for k in range(N - 1, j - 1, -1):    # G_{N-1,N}^{-1} first
             out = G_poly(out, k, k + 1, -1)
         return out
     out = f
     for k in range(j, N):                    # G_{j,j+1} first, G_{N-1,N} last
         out = G_poly(out, k, k + 1, 1)
-    out = Z_inv_apply(out, p)
+    out = Z_inv_apply(out, p, N)
     for k in range(1, j):                    # G_{1,2}^{-1} first
         out = G_poly(out, k, k + 1, -1)
     return out
 
 
-def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1) -> TensorPoly:
+def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1,
+            active: int | None = None) -> TensorPoly:
     """Y on the coefficients of a tensor-valued polynomial."""
-    return x.map_coeffs(lambda f: Y_poly(f, j, p, exponent))
+    return x.map_coeffs(lambda f: Y_poly(f, j, p, exponent, active))
 
 
 # -- relation suites ---------------------------------------------------------
@@ -286,7 +292,6 @@ def lemma_suite(N: int = 4) -> CheckReport:
             TensorPoly.basis((PLUS, MINUS), one0)
             + TensorPoly.basis((MINUS, PLUS), one0.scale_coeffs(qpow(1))),
         ]
-        from .tensor import singlet_contract
         for s in (PLUS, MINUS):
             for v3 in trip:
                 x = _tensor_left(s, v3)
@@ -331,14 +336,8 @@ def lemma_suite(N: int = 4) -> CheckReport:
 
 
 def _tensor_left(s: int, x: TensorPoly) -> TensorPoly:
-    out = TensorPoly.zero(x.arity + 1, x.nvars)
-    for e, p in x.terms.items():
-        out = out + TensorPoly(x.arity + 1, {(s,) + e: p}, nvars=x.nvars)
-    return out
+    return x.relabel(lambda e: (((s,) + e, QQ_ONE),), grow=1)
 
 
 def _tensor_right(x: TensorPoly, s: int) -> TensorPoly:
-    out = TensorPoly.zero(x.arity + 1, x.nvars)
-    for e, p in x.terms.items():
-        out = out + TensorPoly(x.arity + 1, {e + (s,): p}, nvars=x.nvars)
-    return out
+    return x.relabel(lambda e: ((e + (s,), QQ_ONE),), grow=1)

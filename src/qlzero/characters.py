@@ -32,13 +32,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .kernel import (iter_hec_generators, sector_shift, symbol_grade,
-                     symbol_key)
+from .kernel import (iter_hec_generators, sector_shift, specialize_adjacent,
+                     symbol_grade, symbol_key)
 from .linalg import LinearBasis
 from .report import CheckReport, check, timer
-from .scalars import qpow
-from .series import SymbolSeries
-from .tensor import sign_strings
+from .tensor import TensorPoly, sign_strings
 from .windows import cone_cell
 
 
@@ -106,7 +104,7 @@ def iter_spec_coefficients(n: int, max_degree: int, pairs=None):
     pairs = pairs or list(range(1, n))
     for j in pairs:
         for eps in sign_strings(n):
-            lhs = SymbolSeries.window(eps, max_degree).specialize(j + 1, j, qpow(-2))
+            lhs = specialize_adjacent(TensorPoly.window(eps, max_degree), j)
             for expo, vec in lhs.extract_all().items():
                 if vec and sum(expo) <= max_degree:
                     yield vec, f"SPEC.n{n}.j{j}.{expo}"

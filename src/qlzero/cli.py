@@ -145,9 +145,6 @@ def cmd_check(args) -> int:
             raise ConfigError(f"unknown suite {job.get('suite')!r}")
         if job.get("suite") == "rhof" and job.get("p", "q4") != "q4":
             raise ConfigError("fusion requires p=q^4")
-    import qlzero.kernel as kernel_mod
-    kernel_mod.FAST_PRESCREEN = bool(args.fast_prescreen)
-
     cache = cache_dir(args)
     full = CheckReport("qlzero")
     for job in jobs:
@@ -250,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", help="JSON file mirroring the flags")
     c.add_argument("--cache", help="kernel cache directory")
     c.add_argument("--out", help="write the JSON-lines report here")
-    c.add_argument("--fast-prescreen", action="store_true",
-                   help="rational-point pre-screening (verdicts unchanged)")
     c.set_defaults(fn=cmd_check)
 
     k = sub.add_parser("kernel", help="build or cache a relation window")

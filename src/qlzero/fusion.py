@@ -15,25 +15,16 @@ parameter to be the fourth power of q (a negative control at q^3 fails).
 
 from __future__ import annotations
 
-from .hecke import G_poly, S_PAIR
-from .kernel import KernelBasis, kernel_build, fusion_prefactor, fusion_weight
-from .laurent import lp_specialize
-from .level0 import Y_poly_active
+from .kernel import (KernelBasis, fusion_prefactor, fusion_relation, fusion_weight,
+                     kernel_build, specialize_adjacent)
 from .locality import record_tensor
 from .report import CheckReport, check, timer
 from .scalars import RatFuncQ, qpow
-from .series import SymbolSeries
-from .tensor import MINUS, PLUS, TensorPoly, sign_strings
+from .series import expanded_e0_sym, series_e0, series_f0
+from .tensor import MINUS, PLUS, TensorPoly, sign_strings, singlet_contract
 from .windows import Window
-from .affine import Z_inv_apply
 
 P_FUSION = qpow(4)
-
-
-def specialize_adjacent(x: TensorPoly, j: int) -> TensorPoly:
-    """Set the (j+1)-st series variable to q^{-2} times the j-th in every
-    coefficient (variables after j+1 re-index down)."""
-    return x.map_coeffs(lambda p: lp_specialize(p, j + 1, j, qpow(-2)))
 
 
 def fuse(x: TensorPoly, j: int, prefactors: bool = True) -> TensorPoly:
@@ -43,94 +34,12 @@ def fuse(x: TensorPoly, j: int, prefactors: bool = True) -> TensorPoly:
     if x.arity < 2:
         raise ValueError("fusion needs at least two slots")
     N = x.arity
-    y = specialize_adjacent(x, j)
-    out = TensorPoly.zero(N - 2, y.nvars)
-    for eps, p in y.terms.items():
-        a, b = eps[j - 1], eps[j]
-        if a + b != 0:
-            continue
-        w = fusion_weight(N, j, a)
-        rest = eps[: j - 1] + eps[j + 1:]
-        out = out + TensorPoly(N - 2, {rest: p.scale_coeffs(w)}, nvars=y.nvars)
+    out = singlet_contract(specialize_adjacent(x, j), j,
+                           {a: fusion_weight(N, j, a) for a in (PLUS, MINUS)})
     if prefactors and out:
         pre = out
         out = out.mul_poly(fusion_prefactor(N, j, out.nvars))
         record_tensor("fuse_prefactor", pre, out)
-    return out
-
-
-# -- series-window pipelines for the twisted generators ----------------------
-
-
-def f_slot_series(X: SymbolSeries, j: int) -> SymbolSeries:
-    """Lowering at slot j with the inverse-t tail, on symbol strings."""
-    out: dict = {}
-    for (eps, m), p in X.terms.items():
-        if eps[j - 1] != PLUS:
-            continue
-        t = list(eps)
-        t[j - 1] = MINUS
-        c = qpow(-sum(eps[j:]))
-        sym = (tuple(t), m)
-        r = p.scale_coeffs(c)
-        s = out.get(sym)
-        s = r if s is None else s + r
-        if s:
-            out[sym] = s
-    return SymbolSeries(X.nvars, out)
-
-
-def e_slot_series(X: SymbolSeries, j: int) -> SymbolSeries:
-    """Raising at slot j with the t tail on the left."""
-    out: dict = {}
-    for (eps, m), p in X.terms.items():
-        if eps[j - 1] != MINUS:
-            continue
-        t = list(eps)
-        t[j - 1] = PLUS
-        c = qpow(sum(eps[: j - 1]))
-        sym = (tuple(t), m)
-        r = p.scale_coeffs(c)
-        s = out.get(sym)
-        s = r if s is None else s + r
-        if s:
-            out[sym] = s
-    return SymbolSeries(X.nvars, out)
-
-
-def series_e0_sym(X: SymbolSeries, p: RatFuncQ, arity: int) -> SymbolSeries:
-    """E0 on a symbol series: q^{n-1} sum_j Y_j^{-1} f^{(j)}."""
-    out = SymbolSeries(X.nvars)
-    pref = qpow(arity - 1)
-    for j in range(1, arity + 1):
-        y = f_slot_series(X, j)
-        y = y.map_values(lambda f: Y_poly_active(f, j, p, -1, arity))
-        out = out + y.scale(pref)
-    return out
-
-
-def series_f0_sym(X: SymbolSeries, p: RatFuncQ, arity: int) -> SymbolSeries:
-    """F0 on a symbol series: q^{-(n-1)} sum_j Y_j e^{(j)}."""
-    out = SymbolSeries(X.nvars)
-    pref = qpow(-(arity - 1))
-    for j in range(1, arity + 1):
-        y = e_slot_series(X, j)
-        y = y.map_values(lambda f: Y_poly_active(f, j, p, +1, arity))
-        out = out + y.scale(pref)
-    return out
-
-
-def expanded_e0_sym(X: SymbolSeries, p: RatFuncQ, arity: int) -> SymbolSeries:
-    """The S/G-chain form of E0 (no q-power prefactor) on a symbol series."""
-    out = SymbolSeries(X.nvars)
-    for j in range(1, arity + 1):
-        y = X.map_values(lambda f: Z_inv_apply(f, p))
-        for k in range(1, j):
-            y = y.map_values(lambda f, kk=k: G_poly(f, kk, kk + 1, -1))
-        for k in range(j, arity):
-            y = y.apply_pair_table(k, S_PAIR)
-        y = f_slot_series(y, arity)
-        out = out + y
     return out
 
 
@@ -160,23 +69,13 @@ def rhof_check(N: int, window: Window, p: RatFuncQ = P_FUSION,
     j = N - 1
     if kb is None:
         kb = kernel_build(N, Window(N, -D), families=("HEC", "FUS", "HWT"))
-    pref = fusion_prefactor(N, j, N - 1)
     for gen in generators:
-        apply_gen = series_e0_sym if gen == "e0" else series_f0_sym
+        series = series_e0 if gen == "e0" else series_f0
         with timer() as t:
             n_checked = 0
             n_bad = 0
             for eps in sign_strings(N):
-                X = SymbolSeries.window(eps, D)
-                lhs = apply_gen(X, p, N).specialize(N, N - 1, qpow(-2))
-                if eps[j - 1] + eps[j] == 0:
-                    red = eps[: j - 1] + eps[j + 1:]
-                    Xr = SymbolSeries.window(red, max(D - (N - 2), 0))
-                    rhs = apply_gen(Xr, p, N - 2).insert_var(j).mul(pref)
-                    rhs = rhs.scale(fusion_weight(N, j, eps[j - 1]))
-                    diff = lhs - rhs
-                else:
-                    diff = lhs
+                diff = fusion_relation(eps, j, D, lambda X, n: series(X, p, n))
                 for expo, vec in diff.extract_all().items():
                     # a target of exponent sum t draws on window symbols of
                     # degree t on both sides; complete through t = D
@@ -208,8 +107,8 @@ def e0_forms_check(N: int, window: Window, p: RatFuncQ = P_FUSION) -> CheckRepor
         n_checked = 0
         ok = True
         for eps in sign_strings(N):
-            X = SymbolSeries.window(eps, D)
-            direct = series_e0_sym(X, p, N)
+            X = TensorPoly.window(eps, D)
+            direct = series_e0(X, p, N)
             expanded = expanded_e0_sym(X, p, N).scale(qpow(N - 1))
             diff = direct - expanded
             for expo, vec in diff.extract_all().items():

@@ -18,10 +18,11 @@ series here: R(z_k/z_j) is handled through its cross-multiplied numerator
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, lp_divided_difference, lp_specialize, lp_swap
+from .laurent import LaurentPoly, lp_divided_difference, lp_specialize
 from .report import CheckReport, check, timer
 from .scalars import QQ_ONE, qpow, qq_int
-from .tensor import MINUS, PLUS, TensorPoly, sign_strings, singlet_vector
+from .tensor import (MINUS, PLUS, TensorPoly, e_op, f_op, sign_strings,
+                     singlet_vector, uq_apply)
 from .windows import Window
 
 Q = qpow(1)
@@ -52,17 +53,18 @@ S_INV_PAIR = _build_s_inv()
 
 def apply_pair(x: TensorPoly, j: int, k: int, table: dict) -> TensorPoly:
     """Apply a two-slot map given by a channel table at slots (j, k)."""
-    if not (1 <= j <= x.arity and 1 <= k <= x.arity) or j == k:
+    if j == k or min(j, k) < 1 or (x.arity is not None and max(j, k) > x.arity):
         raise IndexError("slot pair out of range")
-    out = TensorPoly.zero(x.arity, x.nvars)
-    for e, p in x.terms.items():
-        key = (e[j - 1], e[k - 1])
-        for (a, b), c in table.get(key, ()):
+
+    def images(e):
+        out = []
+        for (a, b), c in table.get((e[j - 1], e[k - 1]), ()):
             t = list(e)
             t[j - 1], t[k - 1] = a, b
-            out = out + TensorPoly(x.arity, {tuple(t): p.scale_coeffs(c)},
-                                   nvars=x.nvars)
-    return out
+            out.append((tuple(t), c))
+        return out
+
+    return x.relabel(images)
 
 
 def S_apply(x: TensorPoly, j: int, k: int | None = None) -> TensorPoly:
@@ -108,10 +110,6 @@ def G_poly(f: LaurentPoly, j: int, k: int, exponent: int = 1) -> LaurentPoly:
 def G_apply(x: TensorPoly, j: int, k: int, exponent: int = 1) -> TensorPoly:
     """G acts on coefficients only; tensor slots are untouched."""
     return x.map_coeffs(lambda f: G_poly(f, j, k, exponent))
-
-
-def K_apply(x: TensorPoly, j: int, k: int) -> TensorPoly:
-    return x.map_coeffs(lambda f: lp_swap(f, j, k))
 
 
 def R_apply(x: TensorPoly, j: int, k: int) -> tuple[TensorPoly, LaurentPoly]:
@@ -172,8 +170,6 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
     invariant vector; Yang-Baxter; eigenvalues of S; S commuting with the
     finite quantum-group action; and the two intertwining exchange rules.
     """
-    from .tensor import uq_apply  # local import to keep module load light
-
     rep = CheckReport(f"hecke suite N={N}")
     window = window or Window(N, -2)
 
@@ -298,14 +294,12 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
         ok = True
         for e in sign_strings(2):
             x = TensorPoly.basis(e, one0)
-            # S (f1 (x) t1^{-1}) = (1 (x) f1) S
-            lhs = S_apply(_slot_f1(_slot_t1inv(x, 2), 1), 1)
-            rhs = _slot_f1(S_apply(x, 1), 2)
-            ok &= not (lhs - rhs)
-            # S (t1 (x) e1) = (e1 (x) 1) S
-            lhs = S_apply(_slot_t1(_slot_e1(x, 2), 1), 1)
-            rhs = _slot_e1(S_apply(x, 1), 1)
-            ok &= not (lhs - rhs)
+            # S (f1 (x) t1^{-1}) = (1 (x) f1) S: the dressed lowering
+            # operator at slot 1 drags t1^{-1} over slot 2
+            ok &= not (S_apply(f_op(x, 1), 1) - f_op(S_apply(x, 1), 2))
+            # S (t1 (x) e1) = (e1 (x) 1) S: the dressed raising operator at
+            # slot 2 drags t1 over slot 1
+            ok &= not (S_apply(e_op(x, 2), 1) - e_op(S_apply(x, 1), 1))
     check(rep, f"hecke.exchange.N{N}",
           "S(f1 x t1^{-1}) = (1 x f1)S and S(t1 x e1) = (e1 x 1)S",
           ok, "", 0 if ok else 1, t.seconds)
@@ -323,7 +317,7 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
             rs_num = (S_apply(x, 1).mul_poly(zz) - S_inv_apply(x, 1))
             tab_num = TensorPoly.zero(2, 1)
             for out_ch, poly in table[key]:
-                tab_num = tab_num + TensorPoly.basis(out_ch, poly)
+                tab_num += TensorPoly.basis(out_ch, poly)
             ok &= not (rs_num.map_coeffs(lambda f: f * den_table)
                        - tab_num.map_coeffs(lambda f: f * den_rs))
     check(rep, f"hecke.rs.N{N}", "R(z) = (Sz - S^{-1})/(qz - q^{-1})", ok,
@@ -334,7 +328,7 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
         x = singlet_vector(2)
         num, den = R_apply(x, 1, 2)
         resid = (num - x.mul_poly(den)).map_coeffs(
-            lambda f: lp_specialize(f, 2, 1, QQ_ONE))
+            lambda f: lp_specialize(f, 2, 1, QQ_ONE), nvars=1)
         ok = not resid
     check(rep, f"hecke.r_at_1.N{N}", "R(1) fixes the invariant vector", ok,
           "", 0 if ok else 1, t.seconds)
@@ -364,23 +358,3 @@ def _braid(x, j, op):
 
 def _braid_rev(x, j, op):
     return op(op(op(x, j + 1), j), j + 1)
-
-
-def _slot_f1(x: TensorPoly, j: int) -> TensorPoly:
-    from .tensor import apply_slot
-    return apply_slot(x, j, {PLUS: [(MINUS, QQ_ONE)]})
-
-
-def _slot_e1(x: TensorPoly, j: int) -> TensorPoly:
-    from .tensor import apply_slot
-    return apply_slot(x, j, {MINUS: [(PLUS, QQ_ONE)]})
-
-
-def _slot_t1(x: TensorPoly, j: int) -> TensorPoly:
-    from .tensor import apply_slot
-    return apply_slot(x, j, {PLUS: [(PLUS, Q)], MINUS: [(MINUS, QINV)]})
-
-
-def _slot_t1inv(x: TensorPoly, j: int) -> TensorPoly:
-    from .tensor import apply_slot
-    return apply_slot(x, j, {PLUS: [(PLUS, QINV)], MINUS: [(MINUS, Q)]})

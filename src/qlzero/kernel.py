@@ -9,7 +9,7 @@ degree.  On such cells the exchange family has exact finite generators
 
 the sum running over the finitely many cone modes on the pair line of mu.
 Fusion generators tie the sector-N window to the sector-(N-2) window and
-are extracted from the symbol-series pipelines.
+are extracted from symbol series (`TensorPoly.window`).
 
 Cells are keyed by (energy, weight), where energy is the sector-consistent
 grade: energy = degree - sum(offsets) - floor(N/2) + (number of minus
@@ -22,22 +22,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .hecke import G_poly, S_PAIR, S_INV_PAIR
-from .laurent import LaurentPoly, lp_swap
+from .hecke import G_poly, R_numerator_op, S_PAIR
+from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
 from .linalg import LinearBasis
 from .report import CheckReport, check, timer
 from .scalars import RatFuncQ, qpow, qq_int, RatFuncQ as _RF
-from .series import SymbolSeries
 from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
 from .windows import Window, cone_cell
 
 FAMILIES = ("HEC", "FUS", "HWT")
-
-# Rational-point pre-screening: evaluating at a fixed rational q gives a
-# sound fast rejection (a vector whose evaluation escapes the evaluated
-# span cannot lie in the span); acceptances always re-verify exactly.
-FAST_PRESCREEN = False
-_PRESCREEN_NUM, _PRESCREEN_DEN = 3, 7
 
 
 def sum_kappa(N: int) -> int:
@@ -74,7 +67,7 @@ def tensor_to_vec(x: TensorPoly) -> dict:
 def vec_to_tensor(vec: dict, arity: int, nvars: int | None = None) -> TensorPoly:
     out = TensorPoly.zero(arity, nvars)
     for (eps, m), c in vec.items():
-        out = out + TensorPoly.monomial(eps, m, c)
+        out.accumulate(eps, LaurentPoly.monomial(len(m), m, c))
     return out
 
 
@@ -100,19 +93,14 @@ def g_row_coeffs(N: int, mu: tuple, j: int) -> dict:
 
 
 def hec_generator(eps: tuple, mu: tuple, j: int) -> dict:
-    """Exchange-family generator at source eps, target mode mu, pair j.
-
-    At targets with a positive mode the slot part dies under the
-    highest-weight cut and only the reduced polynomial column survives.
-    """
+    """Exchange-family generator at source eps, cone target mode mu, pair j."""
     N = len(eps)
     vec: dict = {}
-    if not mu or max(mu) <= 0:
-        for (a, b), c in S_PAIR[(eps[j - 1], eps[j])]:
-            t = list(eps)
-            t[j - 1], t[j] = a, b
-            sym = (tuple(t), mu)
-            vec[sym] = vec.get(sym, qq_int(0)) + c
+    for (a, b), c in S_PAIR[(eps[j - 1], eps[j])]:
+        t = list(eps)
+        t[j - 1], t[j] = a, b
+        sym = (tuple(t), mu)
+        vec[sym] = vec.get(sym, qq_int(0)) + c
     for m, c in g_row_coeffs(N, mu, j).items():
         sym = (eps, m)
         vec[sym] = vec.get(sym, qq_int(0)) - c
@@ -120,12 +108,12 @@ def hec_generator(eps: tuple, mu: tuple, j: int) -> dict:
 
 
 def iter_hec_generators(N: int, max_degree: int):
-    """All exchange generators with support in degrees <= max_degree.
+    """All exchange generators with support in degrees <= max_degree, one
+    per cone target mode, source string and pair.
 
-    Includes the reduced columns at out-of-cone targets: for each pair line
-    the spreads with one positive component feed cone-supported relations
-    (their slot parts are killed by the highest-weight family); spreads up
-    to the segment length saturate the span.
+    Targets with a positive mode add nothing: G keeps a pair's exponents
+    inside their segment, so such a target has no cone column, and its slot
+    part dies under the highest-weight cut.
     """
     strs = sign_strings(N)
     for d in range(max_degree + 1):
@@ -135,18 +123,6 @@ def iter_hec_generators(N: int, max_degree: int):
                     vec = hec_generator(eps, mu, j)
                     if vec:
                         yield vec, f"HEC.N{N}.j{j}.{_eps_str(eps)}.{mu}"
-    for j in range(1, N):
-        for d in range(max_degree + 1):
-            for t in range(d + 1):
-                for rest in cone_cell(N - 2, -t):
-                    s = -(d - t)  # pair sum at total symbol degree d
-                    for a in range(1, -s + 3):
-                        for pair in ((a, s - a), (s - a, a)):
-                            mu = rest[: j - 1] + pair + rest[j - 1:]
-                            for eps in strs:
-                                vec = hec_generator(eps, mu, j)
-                                if vec:
-                                    yield vec, f"HEC.N{N}.j{j}.{_eps_str(eps)}.{mu}"
 
 
 def fusion_prefactor(n: int, j: int, nvars: int) -> LaurentPoly:
@@ -169,29 +145,51 @@ def fusion_weight(n: int, j: int, eps_j: int) -> RatFuncQ:
     return c if k % 2 == 0 else -c
 
 
+def specialize_adjacent(x: TensorPoly, j: int) -> TensorPoly:
+    """Set the (j+1)-st series variable to q^{-2} times the j-th in every
+    coefficient (variables after j+1 re-index down)."""
+    return x.map_coeffs(lambda p: lp_specialize(p, j + 1, j, qpow(-2)),
+                        nvars=x.nvars - 1)
+
+
+def fusion_relation(eps: tuple, j: int, max_degree: int, apply=None) -> TensorPoly:
+    """The fusion relation of the window of eps at pair j, as a symbol series.
+
+    The window specialized on the fusion locus minus, when slots j, j+1
+    carry opposite signs, the window of the reduced string with the
+    spectator variable, the prefactor and the channel weight attached.  The
+    reduced window is shallower by the prefactor degree n-2.  With
+    apply(series, arity) given, it acts on both windows first.
+    """
+    n = len(eps)
+
+    def window(s, degree):
+        w = TensorPoly.window(s, degree)
+        return w if apply is None else apply(w, len(s))
+
+    lhs = specialize_adjacent(window(eps, max_degree), j)
+    if eps[j - 1] + eps[j]:
+        return lhs
+    red = eps[: j - 1] + eps[j + 1:]
+    pref = fusion_prefactor(n, j, n - 1)
+    rhs = window(red, max(max_degree - (n - 2), 0)).map_coeffs(
+        lambda p: lp_insert_var(p, j) * pref, nvars=n - 1)
+    return lhs - rhs.scale(fusion_weight(n, j, eps[j - 1]))
+
+
 def iter_fus_generators(n: int, max_degree: int, pairs: list[int] | None = None):
     """Fusion generators from sector n into sector n-2.
 
-    For each source string and fusion pair j, the specialized window series
-    minus the weighted, prefactor-dressed reduced series is extracted
-    coefficient by coefficient; every nonzero coefficient of total value
-    degree <= max_degree is a generator (complete by homogeneity).
+    For each source string and fusion pair j, the fusion relation is
+    extracted coefficient by coefficient; every nonzero coefficient of
+    total value degree <= max_degree is a generator (complete by
+    homogeneity).
     """
     if n < 2:
         return
-    pairs = pairs or list(range(1, n))
-    red_degree = max(max_degree - (n - 2), 0)
-    for j in pairs:
-        pref = fusion_prefactor(n, j, n - 1)
+    for j in pairs or range(1, n):
         for eps in sign_strings(n):
-            lhs = SymbolSeries.window(eps, max_degree).specialize(j + 1, j, qpow(-2))
-            if eps[j - 1] + eps[j] == 0:
-                red = eps[: j - 1] + eps[j + 1:]
-                rhs = SymbolSeries.window(red, red_degree)
-                rhs = rhs.insert_var(j).mul(pref).scale(fusion_weight(n, j, eps[j - 1]))
-                diff = lhs - rhs
-            else:
-                diff = lhs
+            diff = fusion_relation(eps, j, max_degree)
             for expo, vec in diff.extract_all().items():
                 if sum(expo) <= max_degree and vec:
                     yield vec, f"FUS.n{n}.j{j}.{_eps_str(eps)}.{expo}"
@@ -231,7 +229,6 @@ class KernelBasis:
         self.cells: dict[tuple, LinearBasis] = {}
         self.n_generators = 0
         self.provenance: dict[str, int] = {}
-        self._eval_cells: dict = {}
 
     def _cell(self, grade: tuple) -> LinearBasis:
         basis = self.cells.get(grade)
@@ -285,10 +282,6 @@ class KernelBasis:
         by_cell: dict[tuple, dict] = {}
         for sym, c in vec.items():
             by_cell.setdefault(symbol_grade(sym), {})[sym] = c
-        if FAST_PRESCREEN and not want_cert:
-            rejected = self._prescreen_reject(by_cell)
-            if rejected is not None:
-                return (False, rejected)
         residual: dict = {}
         cert: dict = {}
         for grade, comp in by_cell.items():
@@ -305,40 +298,6 @@ class KernelBasis:
         if want_cert:
             return (not residual, residual, cert)
         return (not residual, residual)
-
-    def _eval_cell(self, grade):
-        basis = self._eval_cells.get(grade)
-        if basis is None:
-            from fractions import Fraction
-
-            q0 = Fraction(_PRESCREEN_NUM, _PRESCREEN_DEN)
-            rows = self.cells.get(grade)
-            basis = LinearBasis(key=symbol_key)
-            if rows is not None:
-                try:
-                    for _piv, row in rows.rows():
-                        basis.add({c: v.eval_at(q0) for c, v in row.items()})
-                except ZeroDivisionError:
-                    basis = False  # sample point degenerates; skip prescreen
-            self._eval_cells[grade] = basis
-        return basis
-
-    def _prescreen_reject(self, by_cell):
-        from fractions import Fraction
-
-        q0 = Fraction(_PRESCREEN_NUM, _PRESCREEN_DEN)
-        for grade, comp in by_cell.items():
-            basis = self._eval_cell(grade)
-            if basis is False:
-                continue
-            try:
-                ev = {c: v.eval_at(q0) for c, v in comp.items()}
-            except ZeroDivisionError:
-                continue
-            ok, res = basis.member({c: v for c, v in ev.items() if v})
-            if not ok:
-                return {sym: comp[sym] for sym in res if sym in comp} or dict(comp)
-        return None
 
     # -- persistence --------------------------------------------------------
 
@@ -405,6 +364,18 @@ class KernelBasis:
         return kb
 
 
+def sector_caps(N: int, max_degree: int, fusion: bool = True) -> dict:
+    """Degree caps {n: cap} down the sector chain N, N-2, ..., 0 or 1 (the
+    single sector N without fusion): each fusion step n -> n-2 spends the
+    prefactor degree n-2."""
+    caps = {}
+    cap = max_degree
+    for n in range(N, -1, -2) if fusion else (N,):
+        caps[n] = max(cap, 0)
+        cap -= max(n - 2, 0)
+    return caps
+
+
 def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT"),
                  fusion_pairs: list[int] | None = None) -> KernelBasis:
     """Build the relation-window basis for the sector chain N, N-2, ...
@@ -418,20 +389,9 @@ def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT"),
     if window.arity != N:
         raise ValueError("window arity mismatch")
     D = window.depth
-    sectors = [N]
-    if "FUS" in families:
-        n = N - 2
-        while n >= 0:
-            sectors.append(n)
-            n -= 2
-    # each fusion step n -> n-2 spends the prefactor degree n-2
-    caps = {}
-    cap = D
-    for n in sectors:
-        caps[n] = max(cap, 0)
-        cap -= max(n - 2, 0)
-    kb = KernelBasis(tuple(sectors), D, tuple(families), sector_degree=caps)
-    for n in sectors:
+    caps = sector_caps(N, D, "FUS" in families)
+    kb = KernelBasis(tuple(caps), D, tuple(families), sector_degree=caps)
+    for n in caps:
         if n < 2:
             continue
         if "HEC" in families:
@@ -471,15 +431,15 @@ def prop9_check(N: int, window: Window) -> CheckReport:
     with timer() as t:
         for eps in sign_strings(N):
             for j in range(1, N):
-                w = SymbolSeries.window(eps, D)
+                w = TensorPoly.window(eps, D)
                 nv = w.nvars
                 zj = LaurentPoly.var(nv, j)
                 zj1 = LaurentPoly.var(nv, j + 1)
-                swapped = w.map_values(lambda p: lp_swap(p, j, j + 1))
-                fam_a = (swapped.mul(zj1.scale_coeffs(qpow(1))
-                                     - zj.scale_coeffs(qpow(-1)))
-                         - (w.apply_pair_table(j, S_PAIR).mul(zj1)
-                            - w.apply_pair_table(j, S_INV_PAIR).mul(zj)))
+                swapped = w.map_coeffs(lambda p: lp_swap(p, j, j + 1))
+                # (q z_{j+1} - q^{-1} z_j) K w - (S z_{j+1} - S^{-1} z_j) w
+                fam_a = (swapped.mul_poly(zj1.scale_coeffs(qpow(1))
+                                          - zj.scale_coeffs(qpow(-1)))
+                         - R_numerator_op(w, j, j + 1, j, j + 1))
                 # a target of exponent sum t draws on symbols of degree t-1,
                 # so everything up to t = D+1 is complete in this window
                 for expo, vec in fam_a.extract_all().items():
@@ -506,7 +466,7 @@ def _fbar_shift(eps_bar: tuple) -> tuple:
     return tuple((1 + eps_bar[j]) // 2 - 2 * (N - 1 - j) for j in range(N))
 
 
-def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> SymbolSeries:
+def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> TensorPoly:
     """Root-variable dressing of the sign-flipped window series.
 
     Symbols are those of the flipped string; values live in root variables
@@ -518,25 +478,20 @@ def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> Sy
     if n_max is None:
         n_max = max_degree
     flip = tuple(-s for s in eps_bar)
-    base = SymbolSeries.window(flip, max_degree)
     # root-variable values: exponent doubling plus the parity/monomial shift
     shift = _fbar_shift(eps_bar)
-    terms = {}
-    for (eps, m), p in base.terms.items():
-        e = next(iter(p.support()))
-        zexp = tuple(2 * e[i] + shift[i] for i in range(N))
-        terms[(eps, m)] = LaurentPoly.monomial(N, zexp, next(iter(p.terms.values())))
-    out = SymbolSeries(N, terms)
+    out = TensorPoly.window(flip, max_degree).map_coeffs(lambda p: LaurentPoly(
+        N, {tuple(2 * e[i] + shift[i] for i in range(N)): c for e, c in p.terms.items()}))
     # expanded factors 1/(1 - q^2 z_k/z_j) = sum_n q^{2n} zeta_k^{2n} zeta_j^{-2n}
     for j in range(1, N + 1):
         for k in range(j + 1, N + 1):
-            geo = LaurentPoly.zero(N)
+            geo = {}
             for n in range(n_max + 1):
                 e = [0] * N
                 e[j - 1] = -2 * n
                 e[k - 1] = 2 * n
-                geo = geo + LaurentPoly.monomial(N, tuple(e), qpow(2 * n))
-            out = out.mul(geo)
+                geo[tuple(e)] = qpow(2 * n)
+            out = out.mul_poly(LaurentPoly(N, geo))
     return out
 
 
@@ -576,7 +531,7 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
             if eps_bar[k - 1] != eps_bar[k]:
                 continue
             base = fbar_series(eps_bar, max_degree, n_max)
-            diff = base.map_values(lambda p: lp_swap(p, k, k + 1)) - base
+            diff = base.map_coeffs(lambda p: lp_swap(p, k, k + 1)) - base
             for expo, vec in diff.extract_all().items():
                 if not vec:
                     continue
@@ -590,14 +545,14 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
             eps_mp = outer[: k - 1] + (MINUS, PLUS) + outer[k - 1:]
             a = fbar_series(eps_pm, max_degree, n_max)
             b = fbar_series(eps_mp, max_degree, n_max)
-            sa = a.map_values(lambda p: lp_swap(p, k, k + 1))
-            sb = b.map_values(lambda p: lp_swap(p, k, k + 1))
+            sa = a.map_coeffs(lambda p: lp_swap(p, k, k + 1))
+            sb = b.map_coeffs(lambda p: lp_swap(p, k, k + 1))
             nv = a.nvars
             zk = LaurentPoly.var(nv, k)
             zk1 = LaurentPoly.var(nv, k + 1)
             mult_sw = zk1 + zk.scale_coeffs(qpow(1))
             mult_id = zk + zk1.scale_coeffs(qpow(1))
-            comb = (sa + sb).mul(mult_sw) - (a + b).mul(mult_id)
+            comb = (sa + sb).mul_poly(mult_sw) - (a + b).mul_poly(mult_id)
             for expo, vec in comb.extract_all().items():
                 if not vec:
                     continue
@@ -647,7 +602,7 @@ def prop8_check(N: int, window: Window) -> CheckReport:
         found_nonmember = False
         for eps_bar in sign_strings(N):
             base = fbar_series(eps_bar, D, n_max)
-            swapped = base.map_values(lambda p: lp_swap(p, 1, 2))
+            swapped = base.map_coeffs(lambda p: lp_swap(p, 1, 2))
             for expo, vec in swapped.extract_all().items():
                 if (vec and fbar_target_complete(eps_bar, expo, D, n_max)
                         and fbar_target_complete(eps_bar, _swap_expo(expo, 1), D, n_max)):

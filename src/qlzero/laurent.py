@@ -222,13 +222,6 @@ def lp_scale(f: LaurentPoly, j: int, s: RatFuncQ) -> LaurentPoly:
     return LaurentPoly(f.arity, out)
 
 
-def lp_scale_all(f: LaurentPoly, s: RatFuncQ) -> LaurentPoly:
-    out = f
-    for j in range(1, f.arity + 1):
-        out = lp_scale(out, j, s)
-    return out
-
-
 def _rfq_pow(s: RatFuncQ, k: int) -> RatFuncQ:
     if k == 0:
         return QQ_ONE
@@ -269,18 +262,6 @@ def lp_specialize(f: LaurentPoly, j: int, k: int, c: RatFuncQ) -> LaurentPoly:
                 out[key] = prev
             else:
                 del out[key]
-    return LaurentPoly(f.arity - 1, out)
-
-
-def lp_drop_var(f: LaurentPoly, j: int) -> LaurentPoly:
-    """Remove an unused variable slot (supports re-indexing after fusion)."""
-    if any(e[j - 1] != 0 for e in f.terms):
-        raise ValueError("variable still occurs")
-    out = {}
-    for e, c in f.terms.items():
-        ee = list(e)
-        del ee[j - 1]
-        out[tuple(ee)] = c
     return LaurentPoly(f.arity - 1, out)
 
 

@@ -8,8 +8,7 @@ representative: the same object doubles as the membership oracle (residual
 zero plus a certificate) and as the linear rewriting engine (residual =
 normal form on the non-pivot columns).
 
-Works verbatim with Fraction entries, which is what the fast pre-screen
-mode uses (exact evaluation at a rational q before the full Q(q) pass).
+Works verbatim with Fraction entries.
 """
 
 from __future__ import annotations

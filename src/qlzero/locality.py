@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly
-
 # Declared worst-case growth of the maximal exponent for each family.
 DECLARED_MARGINS = {
     "swap": 0,
@@ -32,11 +30,6 @@ DECLARED_MARGINS = {
     "fuse_prefactor": 1,
 }
 
-# Element-face generators stay inside the non-positive cone instead of
-# obeying a shift bound.
-CONE_OPS = ("e0", "f0")
-
-
 @dataclass
 class LocalityLedger:
     observed: dict = field(default_factory=dict)
@@ -49,13 +42,6 @@ class LocalityLedger:
         allowed = DECLARED_MARGINS.get(op)
         if allowed is not None and shift > allowed:
             self.violations.append((op, shift, allowed))
-
-    def record(self, op: str, before: LaurentPoly, after: LaurentPoly):
-        b1 = before.exponent_bounds()
-        b2 = after.exponent_bounds()
-        if b1 is None or b2 is None:
-            return
-        self.record_shift(op, max(b2[1]) - max(b1[1]))
 
     @property
     def ok(self) -> bool:
@@ -75,7 +61,7 @@ def max_exponent(x) -> int | None:
     best = None
     for p in x.terms.values():
         b = p.exponent_bounds()
-        if b is None:
+        if b is None or not b[1]:  # zero, or no variables
             continue
         m = max(b[1])
         best = m if best is None else max(best, m)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import (iter_ab_relations, iter_fus_generators, kernel_build,
-                     symbol_grade)
+                     sector_caps, symbol_grade, tensor_to_vec)
 from .linalg import LinearBasis
 from .report import CheckReport, check, timer
 from .tensor import TensorPoly
@@ -75,16 +75,8 @@ class RewriteSystem:
     def __init__(self, N: int, max_degree: int, fusion: bool = True):
         self.N = N
         self.max_degree = max_degree
-        self.sectors = []
-        n = N
-        while n >= 0:
-            self.sectors.append(n)
-            n -= 2 if fusion else N + 1
-        self.caps = {}
-        cap = max_degree
-        for n in self.sectors:
-            self.caps[n] = max(cap, 0)
-            cap -= max(n - 2, 0)
+        self.caps = sector_caps(N, max_degree, fusion)
+        self.sectors = list(self.caps)
         self.cells: dict[tuple, LinearBasis] = {}
         self.n_rules = 0
         for n in self.sectors:
@@ -125,8 +117,6 @@ class RewriteSystem:
 
     def normal_form(self, x) -> NormalForm:
         """Canonical admissible representative of a window element."""
-        from .kernel import tensor_to_vec
-
         vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else dict(x)
         red = self.reduce_vec(vec)
         terms = sorted(((eps, zeta_modes(eps, m), c) for (eps, m), c in red.items()),
@@ -151,8 +141,6 @@ def normal_form(x, system: RewriteSystem | None = None) -> NormalForm:
     """Normal form of a window element; builds (and caches) a chain system
     sized to the element when none is supplied."""
     if system is None:
-        from .kernel import tensor_to_vec
-
         vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else dict(x)
         if not vec:
             return NormalForm([])

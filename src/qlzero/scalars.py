@@ -189,14 +189,6 @@ def qp_gcd(a: QP, b: QP) -> QP:
     return g if g[-1] > 0 else qp_neg(g)
 
 
-def qp_eval(a: QP, x):
-    """Evaluate at a rational point (Horner)."""
-    r = 0
-    for c in reversed(a):
-        r = r * x + c
-    return r
-
-
 def qp_str(a: QP) -> str:
     """Sparse text form: `c*q^k` terms joined by ' + ', for serialization."""
     if not a:
@@ -285,12 +277,6 @@ class RatFuncQ:
 
     def __truediv__(self, other):
         return self * other.inv()
-
-    def eval_at(self, x):
-        """Exact value at a rational q (Fraction in, Fraction out)."""
-        from fractions import Fraction
-
-        return Fraction(qp_eval(self.num, x)) / Fraction(qp_eval(self.den, x))
 
     def __repr__(self):
         if self.den == QP_ONE:

@@ -1,151 +1,78 @@
-"""Symbol-valued series windows.
+"""The series face of the level-0 generators.
 
-A SymbolSeries is a finite chunk of a generating series whose coefficients
-are tracked as formal basis symbols: it maps symbols (eps, m) - a sign
-string and a mode vector, the sector being the string's length - to the
-Laurent polynomial (in honest series variables) that multiplies them.
+On generating-series windows the twisted generators read
 
-Pipelines apply variable operators to the values and slot operators to the
-symbols' sign strings; at the end, `extract` reads off the coefficient of
-a chosen series monomial as an exact vector over symbols.  Initializing a
-window over non-positive modes implements the highest-weight truncation:
-everything computed here is exact modulo that family.
+    E0 = q^{N-1} sum_j Y_j^{-1} f^{(j)},      F0 = q^{-(N-1)} sum_j Y_j e^{(j)},
 
-Mode vectors index the coefficient of z^{-m}, so the value attached to the
-symbol (eps, m) starts life as the formal monomial z^{+...} with exponent
-vector -m.
+with f^{(j)} (resp. e^{(j)}) the lowering (raising) slot operator dressed
+by the diagonal tail it drags along, and the Y's acting on the coefficient
+polynomials in the plain polynomial representation.  The same functions
+serve sign-string windows and symbol series (`TensorPoly.window`); the
+element face in `level0` is their coefficient extraction.
+
+E0 also has an S/G-chain form, equal to the Y-form only modulo the
+exchange ideal (`fusion.e0_forms_check` certifies the agreement).
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, lp_insert_var, lp_specialize
-from .scalars import RatFuncQ
-from .tensor import SignString
-from .windows import cone_exponents
+from typing import Callable
 
-Symbol = tuple  # (eps, m)
+from .affine import Y_apply, Z_inv_apply
+from .hecke import G_poly, S_apply
+from .locality import record_tensor
+from .scalars import RatFuncQ, qpow
+from .tensor import TensorPoly, e_op, f_op
+
+P_DEFAULT = qpow(4)
+
+# generator -> (dressed slot operator, exponent e of Y_j^e); the prefactor
+# is q^{-e(N-1)}
+TWIST = {"e0": (f_op, -1), "f0": (e_op, +1)}
 
 
-class SymbolSeries:
-    __slots__ = ("nvars", "terms")
+def twisted_sum(x: TensorPoly, gen: str, N: int,
+                apply_y: Callable[[TensorPoly, int, int], TensorPoly]) -> TensorPoly:
+    """q^{-e(N-1)} sum_{j<=N} Y_j^e op^{(j)} x for (op, e) = TWIST[gen], with
+    apply_y(y, j, e) the action of Y_j^e on y (so each face supplies its
+    own Y)."""
+    op, ex = TWIST[gen]
+    out = TensorPoly.zero(x.arity, x.nvars)
+    for j in range(1, N + 1):
+        out += apply_y(op(x, j, -ex * (N - 1)), j, ex)
+    return out
 
-    def __init__(self, nvars: int, terms: dict[Symbol, LaurentPoly] | None = None):
-        self.nvars = nvars
-        self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def window(eps: SignString, max_degree: int) -> "SymbolSeries":
-        """The truncated series for one sign string: all symbols with
-        non-positive modes of total degree <= max_degree."""
-        N = len(eps)
-        terms = {}
-        for m in cone_exponents(N, max_degree):
-            terms[(tuple(eps), m)] = LaurentPoly.monomial(N, tuple(-x for x in m))
-        return SymbolSeries(N, terms)
+def series_e0(x: TensorPoly, p: RatFuncQ = P_DEFAULT, arity: int | None = None) -> TensorPoly:
+    """E0 on a generating-series window: q^{N-1} sum_j Y_j^{-1} f^{(j)} x.
 
-    def map_values(self, fn) -> "SymbolSeries":
-        out = {}
-        nv = self.nvars
-        for sym, p in self.terms.items():
-            r = fn(p)
-            if r:
-                out[sym] = r
-                nv = r.arity
-        return SymbolSeries(nv if out else self.nvars, out)
+    `arity` is the number of active slots/variables (spectator variables
+    stay untouched); it defaults to all slots and is required for symbol
+    series.
+    """
+    return _series(x, p, arity, "e0")
 
-    def mul(self, poly: LaurentPoly) -> "SymbolSeries":
-        return self.map_values(lambda p: p * poly)
 
-    def scale(self, c: RatFuncQ) -> "SymbolSeries":
-        if not c:
-            return SymbolSeries(self.nvars)
-        return self.map_values(lambda p: p.scale_coeffs(c))
+def series_f0(x: TensorPoly, p: RatFuncQ = P_DEFAULT, arity: int | None = None) -> TensorPoly:
+    """F0 on a generating-series window: q^{-(N-1)} sum_j Y_j e^{(j)} x."""
+    return _series(x, p, arity, "f0")
 
-    def specialize(self, j: int, k: int, c: RatFuncQ) -> "SymbolSeries":
-        out = self.map_values(lambda p: lp_specialize(p, j, k, c))
-        out.nvars = self.nvars - 1
-        return out
 
-    def insert_var(self, j: int) -> "SymbolSeries":
-        out = self.map_values(lambda p: lp_insert_var(p, j))
-        out.nvars = self.nvars + 1
-        return out
+def _series(x: TensorPoly, p: RatFuncQ, arity: int | None, gen: str) -> TensorPoly:
+    N = x.arity if arity is None else arity
+    out = twisted_sum(x, gen, N, lambda y, j, ex: Y_apply(y, j, p, ex, N))
+    record_tensor(f"series_{gen}", x, out)
+    return out
 
-    def __add__(self, other: "SymbolSeries") -> "SymbolSeries":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for sym, p in other.terms.items():
-            s = out.get(sym)
-            s = p if s is None else s + p
-            if s:
-                out[sym] = s
-            elif sym in out:
-                del out[sym]
-        return SymbolSeries(self.nvars, out)
 
-    def __neg__(self):
-        return SymbolSeries(self.nvars, {s: -p for s, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def apply_pair_table(self, j: int, table: dict) -> "SymbolSeries":
-        """Two-slot operator on the symbols' sign strings at slots (j, j+1)."""
-        out: dict[Symbol, LaurentPoly] = {}
-        for (eps, m), p in self.terms.items():
-            key = (eps[j - 1], eps[j])
-            for (a, b), c in table.get(key, ()):
-                t = list(eps)
-                t[j - 1], t[j] = a, b
-                sym = (tuple(t), m)
-                r = p.scale_coeffs(c)
-                s = out.get(sym)
-                s = r if s is None else s + r
-                if s:
-                    out[sym] = s
-                elif sym in out:
-                    del out[sym]
-        return SymbolSeries(self.nvars, out)
-
-    def apply_slot_images(self, j: int, images: dict) -> "SymbolSeries":
-        """Single-slot operator {eps_in: [(eps_out, coeff)]} at slot j."""
-        out: dict[Symbol, LaurentPoly] = {}
-        for (eps, m), p in self.terms.items():
-            for eps_out, c in images.get(eps[j - 1], ()):
-                t = list(eps)
-                t[j - 1] = eps_out
-                sym = (tuple(t), m)
-                r = p.scale_coeffs(c)
-                s = out.get(sym)
-                s = r if s is None else s + r
-                if s:
-                    out[sym] = s
-                elif sym in out:
-                    del out[sym]
-        return SymbolSeries(self.nvars, out)
-
-    def targets(self) -> set:
-        """Union of the value supports: candidate extraction exponents."""
-        out = set()
-        for p in self.terms.values():
-            out.update(p.support())
-        return out
-
-    def extract(self, expo: tuple) -> dict:
-        """Coefficient of the series monomial with the given (formal)
-        exponent vector, as a sparse vector over symbols."""
-        out = {}
-        for sym, p in self.terms.items():
-            c = p.terms.get(tuple(expo))
-            if c is not None:
-                out[sym] = c
-        return out
-
-    def extract_all(self) -> dict[tuple, dict]:
-        """All coefficients at once: {exponent: {symbol: coeff}}."""
-        out: dict[tuple, dict] = {}
-        for sym, p in self.terms.items():
-            for expo, c in p.terms.items():
-                out.setdefault(expo, {})[sym] = c
-        return out
+def expanded_e0_sym(x: TensorPoly, p: RatFuncQ, arity: int) -> TensorPoly:
+    """The S/G-chain form of E0 (no q-power prefactor) on a series window."""
+    out = TensorPoly.zero(x.arity, x.nvars)
+    for j in range(1, arity + 1):
+        y = x.map_coeffs(lambda f: Z_inv_apply(f, p))
+        for k in range(1, j):                    # G^{-1}_{1,2} first
+            y = y.map_coeffs(lambda f, kk=k: G_poly(f, kk, kk + 1, -1))
+        for k in range(j, arity):                # S_{j,j+1} first
+            y = S_apply(y, k)
+        out += f_op(y, arity)
+    return out

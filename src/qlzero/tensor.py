@@ -1,18 +1,27 @@
-"""V^{tensor N}-valued Laurent polynomials: the free model of spinon windows.
+"""The sparse container of the package and the slot operators acting on it.
 
-A TensorPoly of arity N maps sign strings (tuples of +1/-1, length N) to
-LaurentPoly coefficients.  Two readings coexist and share this container:
+A TensorPoly maps keys to LaurentPoly coefficients.  A key has one of two
+shapes, fixed per container:
 
-  * mode windows: the monomial with exponent vector m in the coefficient of
-    a sign string stands for the basis symbol with mode vector m (so the
-    formal series variable enters as z^{-m});
-  * series values: inside the generating-series pipelines the coefficient
-    is an honest polynomial in the z's.
+  * sign strings (tuples of +1/-1, length = `arity`): V^{tensor N}-valued
+    Laurent polynomials.  On mode windows the monomial with exponent vector
+    m in the coefficient of a sign string stands for the basis symbol with
+    mode vector m (the formal series variable enters as z^{-m}); inside the
+    generating-series pipelines the coefficient is an honest polynomial.
+  * symbols (eps, m), a sign string and a mode vector (`arity` is None, and
+    the sector of a symbol is the length of its string, so one series may
+    mix sectors): finite chunks of a generating series whose coefficients
+    are tracked as formal basis symbols.  The value attached to a symbol is
+    the Laurent polynomial, in honest series variables, multiplying it;
+    `extract_all` reads off the coefficient of each series monomial as an
+    exact vector over symbols.  `window` starts the value of the symbol at
+    m as the monomial with exponent vector -m; initializing over
+    non-positive modes implements the highest-weight truncation.
 
-Slot operators (the quantum-group generators below, and the constant Hecke
-operator elsewhere) act the same way under both readings; the distinction
-only matters for variable operators, which live in the modules that use
-them.
+Variable operators act on the coefficients (`map_coeffs`).  Slot operators
+act on the sign strings, through `relabel`, the only code that tells the
+two key shapes apart; every slot operator is written once, against sign
+strings, and acts the same way on both shapes.
 
 The number of z-variables normally equals the arity but may exceed it when
 fusion leaves spectator variables behind.
@@ -24,7 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .laurent import LaurentPoly
+from .locality import LEDGER
 from .scalars import QQ_ONE, RatFuncQ, eta_expand, qpow, qq_int
+from .windows import cone_exponents
 
 SignString = tuple  # tuple of +1 / -1
 
@@ -42,7 +53,7 @@ def sign_strings(n: int) -> list[SignString]:
 class TensorPoly:
     __slots__ = ("arity", "nvars", "terms")
 
-    def __init__(self, arity: int, terms: dict[SignString, LaurentPoly] | None = None,
+    def __init__(self, arity: int | None, terms: dict | None = None,
                  nvars: int | None = None):
         self.arity = arity
         self.nvars = arity if nvars is None else nvars
@@ -62,6 +73,15 @@ class TensorPoly:
     def monomial(eps: SignString, expo: tuple, c: RatFuncQ = QQ_ONE) -> "TensorPoly":
         return TensorPoly.basis(eps, LaurentPoly.monomial(len(expo), expo, c))
 
+    @staticmethod
+    def window(eps: SignString, max_degree: int) -> "TensorPoly":
+        """The truncated series of one sign string, keyed by symbols: all
+        non-positive modes of total degree <= max_degree."""
+        N = len(eps)
+        eps = tuple(eps)
+        return TensorPoly(None, {(eps, m): LaurentPoly.monomial(N, tuple(-x for x in m))
+                                 for m in cone_exponents(N, max_degree)}, nvars=N)
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -71,18 +91,30 @@ class TensorPoly:
         return (self.arity == other.arity and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
+    def accumulate(self, key, poly: LaurentPoly) -> None:
+        """Add poly to the coefficient at key, in place, dropping zeros."""
+        s = self.terms.get(key)
+        if s is None:
+            if poly:
+                self.terms[key] = poly
+            return
+        s = s + poly
+        if s:
+            self.terms[key] = s
+        else:
+            del self.terms[key]
+
+    def __iadd__(self, other: "TensorPoly") -> "TensorPoly":
         if self.arity != other.arity or self.nvars != other.nvars:
             raise ValueError("shape mismatch")
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            s = out.get(e)
-            s = p if s is None else s + p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TensorPoly(self.arity, out, nvars=self.nvars)
+        for key, p in other.terms.items():
+            self.accumulate(key, p)
+        return self
+
+    def __add__(self, other: "TensorPoly") -> "TensorPoly":
+        out = TensorPoly(self.arity, dict(self.terms), nvars=self.nvars)
+        out += other
+        return out
 
     def __neg__(self):
         return TensorPoly(self.arity, {e: -p for e, p in self.terms.items()},
@@ -94,27 +126,43 @@ class TensorPoly:
     def scale(self, c: RatFuncQ) -> "TensorPoly":
         if not c:
             return TensorPoly(self.arity, nvars=self.nvars)
-        return TensorPoly(self.arity, {e: p.scale_coeffs(c) for e, p in self.terms.items()},
-                          nvars=self.nvars)
+        return self.map_coeffs(lambda p: p.scale_coeffs(c))
 
     def mul_poly(self, f: LaurentPoly) -> "TensorPoly":
-        out = {}
-        for e, p in self.terms.items():
-            r = p * f
-            if r:
-                out[e] = r
-        return TensorPoly(self.arity, out, nvars=self.nvars)
+        return self.map_coeffs(lambda p: p * f)
 
-    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "TensorPoly":
-        """Apply a z-operator to every coefficient polynomial."""
+    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly],
+                   nvars: int | None = None) -> "TensorPoly":
+        """Apply a z-operator to every coefficient polynomial; `nvars` is
+        the variable count of the results when fn changes it."""
         out = {}
-        nv = self.nvars
-        for e, p in self.terms.items():
+        for key, p in self.terms.items():
             r = fn(p)
             if r:
-                out[e] = r
-                nv = r.arity
-        return TensorPoly(self.arity, out, nvars=nv if out else self.nvars)
+                out[key] = r
+        return TensorPoly(self.arity, out, nvars=self.nvars if nvars is None else nvars)
+
+    def relabel(self, images: Callable[[SignString], Iterable], grow: int = 0) -> "TensorPoly":
+        """Apply a linear map of sign strings: images(eps) lists pairs
+        (eps_out, c), and the coefficient at eps, times c, moves to eps_out.
+        The mode of a symbol key rides along; `grow` is the change of arity
+        of sign-string keys."""
+        symbols = self.arity is None
+        out = TensorPoly(None if symbols else self.arity + grow, nvars=self.nvars)
+        for key, p in self.terms.items():
+            for eps, c in images(key[0] if symbols else key):
+                out.accumulate((eps, key[1]) if symbols else eps,
+                               p if c == QQ_ONE else p.scale_coeffs(c))
+        return out
+
+    def extract_all(self) -> dict[tuple, dict]:
+        """Coefficients of the series monomials at once: {exponent: {key:
+        coeff}}, each a sparse vector over the keys."""
+        out: dict[tuple, dict] = {}
+        for key, p in self.terms.items():
+            for expo, c in p.terms.items():
+                out.setdefault(expo, {})[key] = c
+        return out
 
     def coeff(self, eps: SignString) -> LaurentPoly:
         return self.terms.get(tuple(eps), LaurentPoly.zero(self.nvars))
@@ -123,24 +171,11 @@ class TensorPoly:
         if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            tag = "".join("+" if s > 0 else "-" for s in e) or "()"
-            bits.append(f"[{tag}]({self.terms[e]!r})")
+        for key in sorted(self.terms, reverse=True):
+            tag = repr(key) if self.arity is None else \
+                "".join("+" if s > 0 else "-" for s in key) or "()"
+            bits.append(f"[{tag}]({self.terms[key]!r})")
         return " + ".join(bits)
-
-
-# -- slot-local linear maps --------------------------------------------------
-
-
-def apply_slot(x: TensorPoly, j: int, images: dict) -> TensorPoly:
-    """Apply a single-slot linear map given as {eps_in: [(eps_out, coeff)]}."""
-    out = TensorPoly.zero(x.arity, x.nvars)
-    for e, p in x.terms.items():
-        for eps_out, c in images.get(e[j - 1], ()):
-            t = list(e)
-            t[j - 1] = eps_out
-            out = out + TensorPoly(x.arity, {tuple(t): p.scale_coeffs(c)}, nvars=x.nvars)
-    return out
 
 
 def weight(eps: SignString) -> int:
@@ -165,9 +200,49 @@ def weight_degree(x: TensorPoly) -> set[GradedSlot]:
     return out
 
 
+# -- slot operators ----------------------------------------------------------
+
+
+def dressed_slot(x: TensorPoly, j: int, to: int, right: bool, power: int = 0) -> TensorPoly:
+    """The dressed lowering (to=MINUS) or raising (to=PLUS) operator at slot j.
+
+    Slot j turns from -to into to, and the term is scaled by
+    q^{to * weight(tail) + power}: the t^{to} factors dragged along the
+    tail, which is the slots right of j (right=True) or left of j.
+    """
+    i = j - 1
+
+    def images(e):
+        if e[i] != -to:
+            return ()
+        tail = e[j:] if right else e[:i]
+        return ((e[:i] + (to,) + e[j:], qpow(to * sum(tail) + power)),)
+
+    return x.relabel(images)
+
+
+def f_op(x: TensorPoly, j: int, power: int = 0) -> TensorPoly:
+    """Lower slot j and scale by the inverse-t tail on slots j+1..N (and by
+    q^power)."""
+    return dressed_slot(x, j, MINUS, True, power)
+
+
+def e_op(x: TensorPoly, j: int, power: int = 0) -> TensorPoly:
+    """Raise slot j and scale by the t tail on slots 1..j-1 (and by
+    q^power)."""
+    return dressed_slot(x, j, PLUS, False, power)
+
+
+def t_diag(x: TensorPoly, sign: int = 1) -> TensorPoly:
+    """Diagonal q^{sign * weight}: t1 on every slot, or t1^{-1} for sign -1."""
+    return x.relabel(lambda e: ((e, qpow(sign * sum(e))),))
+
+
 # -- the quantum-group generators (opposite-coproduct tensor action) --------
 
-GENERATORS = ("e1", "f1", "t1", "t1inv", "e0aff", "f0aff", "qd")
+# slot-moving generators: (new sign, tail on the right, mode shift)
+_SLOT_MOVES = {"e1": (PLUS, True, 0), "f1": (MINUS, False, 0),
+               "e0aff": (MINUS, True, 1), "f0aff": (PLUS, False, -1)}
 
 
 def uq_apply(gen: str, x: TensorPoly) -> TensorPoly:
@@ -178,69 +253,25 @@ def uq_apply(gen: str, x: TensorPoly) -> TensorPoly:
     or -1 (f0) and flips the other way; qd multiplies each term by q to the
     total mode.  Tails of t-factors implement the opposite coproduct:
     e-type generators carry t's to the right of the moving slot, f-type
-    generators carry inverse t's to the left.
+    generators carry inverse t's to the left (t0 = t1^{-1}).
     """
-    N = x.arity
-    if gen == "t1":
-        return _diag_weight(x, 1)
-    if gen == "t1inv":
-        return _diag_weight(x, -1)
+    if gen in ("t1", "t1inv"):
+        return t_diag(x, 1 if gen == "t1" else -1)
     if gen == "qd":
-        out = {}
-        for e, p in x.terms.items():
-            r = LaurentPoly(p.arity, {expo: c * qpow(sum(expo))
-                                      for expo, c in p.terms.items()})
-            out[e] = r
-        return TensorPoly(N, out, nvars=x.nvars)
-    if gen not in GENERATORS:
+        return x.map_coeffs(lambda p: LaurentPoly(
+            p.arity, {expo: c * qpow(sum(expo)) for expo, c in p.terms.items()}))
+    if gen not in _SLOT_MOVES:
         raise ValueError(f"unknown generator {gen!r}")
-
-    out = TensorPoly.zero(N, x.nvars)
-    for e, p in x.terms.items():
-        for j in range(1, N + 1):
-            s = e[j - 1]
-            if gen == "e1":
-                if s != MINUS:
-                    continue
-                tail = sum(e[j:])  # t1 on the slots right of j
-                t = list(e)
-                t[j - 1] = PLUS
-                out = out + TensorPoly(N, {tuple(t): p.scale_coeffs(qpow(tail))},
-                                       nvars=x.nvars)
-            elif gen == "f1":
-                if s != PLUS:
-                    continue
-                head = sum(e[: j - 1])  # t1^{-1} on the slots left of j
-                t = list(e)
-                t[j - 1] = MINUS
-                out = out + TensorPoly(N, {tuple(t): p.scale_coeffs(qpow(-head))},
-                                       nvars=x.nvars)
-            elif gen == "e0aff":
-                if s != PLUS:
-                    continue
-                tail = -sum(e[j:])  # t0 = t1^{-1} on the right
-                t = list(e)
-                t[j - 1] = MINUS
-                shifted = _shift_mode(p, j, +1).scale_coeffs(qpow(tail))
-                from .locality import LEDGER
-                LEDGER.record_shift("uq.e0aff", 1)
-                out = out + TensorPoly(N, {tuple(t): shifted}, nvars=x.nvars)
-            elif gen == "f0aff":
-                if s != MINUS:
-                    continue
-                head = sum(e[: j - 1])  # t0^{-1} = t1 on the left
-                t = list(e)
-                t[j - 1] = PLUS
-                shifted = _shift_mode(p, j, -1).scale_coeffs(qpow(head))
-                out = out + TensorPoly(N, {tuple(t): shifted}, nvars=x.nvars)
+    to, right, shift = _SLOT_MOVES[gen]
+    out = TensorPoly.zero(x.arity, x.nvars)
+    for j in range(1, x.arity + 1):
+        y = dressed_slot(x, j, to, right)
+        if shift:
+            y = y.map_coeffs(lambda p: _shift_mode(p, j, shift))
+        out += y
+    if gen == "e0aff" and out:
+        LEDGER.record_shift("uq.e0aff", 1)
     return out
-
-
-def _diag_weight(x: TensorPoly, sign: int) -> TensorPoly:
-    out = {}
-    for e, p in x.terms.items():
-        out[e] = p.scale_coeffs(qpow(sign * weight(e)))
-    return TensorPoly(x.arity, out, nvars=x.nvars)
 
 
 def _shift_mode(p: LaurentPoly, j: int, d: int) -> LaurentPoly:
@@ -252,8 +283,8 @@ def _shift_mode(p: LaurentPoly, j: int, d: int) -> LaurentPoly:
     return LaurentPoly(p.arity, out)
 
 
-SINGLET_COEFFS = {(PLUS, MINUS): QQ_ONE}  # v+ (x) v-  -  q^{-1} v- (x) v+
 _SINGLET_SECOND = qq_int(-1) * qpow(-1)
+_SINGLET_CHANNEL = {PLUS: QQ_ONE, MINUS: _SINGLET_SECOND}  # v+ v- - q^{-1} v- v+
 
 
 def singlet_vector(nvars: int = 0) -> TensorPoly:
@@ -263,24 +294,24 @@ def singlet_vector(nvars: int = 0) -> TensorPoly:
             + TensorPoly.basis((MINUS, PLUS), one.scale_coeffs(_SINGLET_SECOND)))
 
 
-def singlet_contract(x: TensorPoly, j: int) -> TensorPoly:
-    """Project slots j, j+1 onto the dual invariant channel.
+def singlet_contract(x: TensorPoly, j: int, channel: dict | None = None) -> TensorPoly:
+    """Project slots j, j+1 onto the invariant channel.
 
-    The (+,-) channel carries weight 1 and the (-,+) channel weight -q^{-1};
-    all other channels die.  Channel weights of the fusion relation are the
-    caller's business.  Variables are untouched.
+    A pair (a, -a) goes to channel[a] times the string without the pair;
+    equal signs die.  The default channel is the dual invariant vector:
+    weight 1 at (+,-) and -q^{-1} at (-,+).  Variables are untouched.
     """
     if x.arity < 2 or not (1 <= j <= x.arity - 1):
         raise ValueError("need two adjacent slots")
-    out = TensorPoly.zero(x.arity - 2, x.nvars)
-    for e, p in x.terms.items():
-        a, b = e[j - 1], e[j]
-        if a + b != 0:
-            continue
-        c = QQ_ONE if a == PLUS else _SINGLET_SECOND
-        rest = e[: j - 1] + e[j + 1:]
-        out = out + TensorPoly(x.arity - 2, {rest: p.scale_coeffs(c)}, nvars=x.nvars)
-    return out
+    weights = _SINGLET_CHANNEL if channel is None else channel
+
+    def images(e):
+        a = e[j - 1]
+        if a + e[j]:
+            return ()
+        return ((e[: j - 1] + e[j + 1:], weights[a]),)
+
+    return x.relabel(images, grow=-2)
 
 
 # -- change of basis between mode symbols and monomial tensors --------------
@@ -310,13 +341,13 @@ def basis_change_F_monomial(direction: str, eps: SignString, m: tuple,
     kap = kappa(N)
     sign = 1 if direction == "forward" else -1
     pairs = [(j, k) for j in range(N) for k in range(j + 1, N)]
+    eps = tuple(eps)
     out = TensorPoly.zero(N)
 
     def rec(i: int, budget: int, shift: list, coeff: RatFuncQ):
-        nonlocal out
         if i == len(pairs):
             n = tuple(m[t] + sign * kap[t] + shift[t] for t in range(N))
-            out = out + TensorPoly.monomial(tuple(eps), n, coeff)
+            out.accumulate(eps, LaurentPoly.monomial(N, n, coeff))
             return
         j, k = pairs[i]
         step = k - j
@@ -332,18 +363,3 @@ def basis_change_F_monomial(direction: str, eps: SignString, m: tuple,
 
     rec(0, depth, [0] * N, QQ_ONE)
     return out
-
-
-def iter_lattice_steps(N: int, depth: int) -> Iterable[tuple]:
-    """Vectors of the positive cone with at most `depth` adjacent steps."""
-    def rec(i, budget, acc):
-        if i == N - 1:
-            yield tuple(acc)
-            return
-        for d in range(budget + 1):
-            acc2 = list(acc)
-            acc2[i] -= d
-            acc2[i + 1] += d
-            yield from rec(i + 1, budget - d, acc2)
-
-    yield from rec(0, depth, [0] * N)

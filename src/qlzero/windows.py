@@ -1,9 +1,8 @@
 """Finite degree windows: the computable stand-in for completed spaces.
 
-A Window fixes per-variable exponent bounds [lo, hi] plus a margin that
-operators are allowed to consume.  Mode windows for the quotient machinery
-additionally enforce hi <= 0 (non-positive modes survive the highest-weight
-cut; anything above it is killed).
+A Window fixes per-variable exponent bounds [lo, hi].  Mode windows for
+the quotient machinery additionally enforce hi <= 0 (non-positive modes
+survive the highest-weight cut; anything above it is killed).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ class Window:
     arity: int
     lo: int
     hi: int = 0
-    margin: int = 0
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -31,9 +29,6 @@ class Window:
 
     def contains(self, expo: tuple) -> bool:
         return all(self.lo <= e <= self.hi for e in expo)
-
-    def inner(self, shrink: int) -> "Window":
-        return Window(self.arity, self.lo + shrink, self.hi, self.margin)
 
     @property
     def depth(self) -> int:

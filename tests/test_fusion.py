@@ -4,13 +4,12 @@ from qlzero.fusion import (
     e0_forms_check,
     fuse,
     rhof_check,
-    series_e0_sym,
     specialize_adjacent,
 )
 from qlzero.kernel import kernel_build
 from qlzero.laurent import LaurentPoly
 from qlzero.scalars import qpow, qq_int
-from qlzero.series import SymbolSeries
+from qlzero.series import series_e0
 from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
 from qlzero.windows import Window
 
@@ -59,8 +58,8 @@ def test_rhof_triplet_channel_kills_both_sides():
     # like-sign sources have no reduced window; every specialized coefficient
     # must already be a kernel member
     kb = kernel_build(2, Window(2, -3))
-    X = SymbolSeries.window((PLUS, PLUS), 3)
-    lhs = series_e0_sym(X, qpow(4), 2).specialize(2, 1, qpow(-2))
+    X = TensorPoly.window((PLUS, PLUS), 3)
+    lhs = specialize_adjacent(series_e0(X, qpow(4), 2), 1)
     for expo, vec in lhs.extract_all().items():
         if vec and sum(expo) <= 3:
             assert kb.member(vec)[0]

@@ -16,7 +16,7 @@ from qlzero.kernel import (
 from qlzero.linalg import LinearBasis
 from qlzero.scalars import qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly
-from qlzero.windows import Window, cone_cell
+from qlzero.windows import Window
 
 
 def test_grades():
@@ -103,25 +103,6 @@ def test_persistence_round_trip():
     assert kb2.rank() == kb.rank()
     x = TensorPoly.monomial((PLUS, MINUS), (0, 0))
     assert kb.member(x)[0] == kb2.member(x)[0]
-
-
-def test_prescreen_never_changes_verdicts():
-    import qlzero.kernel as K
-
-    kb = kernel_build(2, Window(2, -3))
-    probes = []
-    for d in range(3):
-        for m in cone_cell(2, -d):
-            probes.append(TensorPoly.monomial((PLUS, MINUS), m))
-            probes.append(TensorPoly.monomial((MINUS, PLUS), m, qpow(1)))
-    slow = [kb.member(x)[0] for x in probes]
-    K.FAST_PRESCREEN = True
-    try:
-        kb2 = kernel_build(2, Window(2, -3))
-        fast = [kb2.member(x)[0] for x in probes]
-    finally:
-        K.FAST_PRESCREEN = False
-    assert slow == fast
 
 
 def test_ab_span_equals_exchange_span():

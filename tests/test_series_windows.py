@@ -1,10 +1,10 @@
 import pytest
 
-from qlzero.laurent import LaurentPoly, lp_swap
+from qlzero.kernel import specialize_adjacent
+from qlzero.laurent import LaurentPoly, lp_insert_var, lp_swap
 from qlzero.report import CheckReport, CheckResult, check
-from qlzero.scalars import qpow, qq_int
-from qlzero.series import SymbolSeries
-from qlzero.tensor import MINUS, PLUS
+from qlzero.scalars import qq_int
+from qlzero.tensor import MINUS, PLUS, TensorPoly, e_op
 from qlzero.windows import Window, cone_cell, cone_exponents
 from qlzero.locality import LocalityLedger
 
@@ -28,31 +28,34 @@ def test_cone_cells():
 
 
 def test_symbol_series_window_and_extract():
-    X = SymbolSeries.window((PLUS, MINUS), 1)
+    X = TensorPoly.window((PLUS, MINUS), 1)
     # three symbols: modes (0,0), (-1,0), (0,-1)
     assert len(X.terms) == 3
-    vec = X.extract((1, 0))  # value z1^1 belongs to mode (-1, 0)
+    vec = X.extract_all()[(1, 0)]  # value z1^1 belongs to mode (-1, 0)
     assert vec == {((PLUS, MINUS), (-1, 0)): qq_int(1)}
 
 
 def test_symbol_series_ops_touch_values_only():
-    X = SymbolSeries.window((PLUS, MINUS), 1)
-    Y = X.map_values(lambda p: lp_swap(p, 1, 2))
+    X = TensorPoly.window((PLUS, MINUS), 1)
+    Y = X.map_coeffs(lambda p: lp_swap(p, 1, 2))
     assert set(Y.terms) == set(X.terms)
-    Z = X.mul(LaurentPoly.var(2, 1))
-    tot = {sum(e) for e in Z.targets()}
+    Z = X.mul_poly(LaurentPoly.var(2, 1))
+    tot = {sum(e) for e in Z.extract_all()}
     assert tot == {1, 2}
-    W = X.specialize(2, 1, qpow(-2))
+    W = specialize_adjacent(X, 1)
     assert W.nvars == 1
-    V = W.insert_var(1)
+    V = W.map_coeffs(lambda p: lp_insert_var(p, 1), nvars=2)
     assert V.nvars == 2
 
 
 def test_symbol_series_slot_ops_move_symbols():
-    X = SymbolSeries.window((MINUS,), 1)
-    imgs = {MINUS: [(PLUS, qq_int(1))]}
-    Y = X.apply_slot_images(1, imgs)
+    # the raising operator at the only slot (no tail, so no q-power) moves
+    # every symbol to the flipped string and keeps its mode and value
+    X = TensorPoly.window((MINUS,), 1)
+    Y = e_op(X, 1)
     assert all(eps == (PLUS,) for (eps, _m) in Y.terms)
+    assert {m: p for (_eps, m), p in Y.terms.items()} \
+        == {m: p for (_eps, m), p in X.terms.items()}
 
 
 def test_report_roundtrip_and_summary():
