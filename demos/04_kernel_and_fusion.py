@@ -17,7 +17,7 @@ from qlzero.windows import Window
 
 print("== building the relation window (two slots, depth 3) ==")
 kb = kernel_build(2, Window(2, -3))
-print(f"sectors {kb.meta.sectors}, generators {kb.n_generators}, "
+print(f"sectors {kb.sectors}, generators {kb.n_generators}, "
       f"rank {kb.rank()} of ambient {kb.ambient_dimension()}")
 print("provenance:", kb.provenance)
 

@@ -12,7 +12,7 @@ from qlzero.tensor import MINUS, PLUS, TensorPoly
 
 print("== normal forms on the two-spinon window ==")
 rs = RewriteSystem(2, 4)
-print(f"{rs.n_rules} oriented rules on the chain {rs.sectors}")
+print(f"{rs.rank()} oriented rules on the chain {rs.sectors}")
 examples = [
     TensorPoly.monomial((PLUS, PLUS), (-1, -2)),
     TensorPoly.monomial((PLUS, MINUS), (0, 0)),

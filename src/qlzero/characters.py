@@ -32,12 +32,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .kernel import (iter_hec_generators, sector_shift, specialize_adjacent,
-                     symbol_grade, symbol_key)
-from .linalg import LinearBasis
+from .kernel import (KernelBasis, iter_hec_generators, sector_caps, sector_shift,
+                     specialize_adjacent)
 from .report import CheckReport, check, timer
 from .tensor import TensorPoly, sign_strings
-from .windows import cone_cell
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +94,12 @@ def display_oracle(d: int, w: int) -> int:
     return partitions(d - n * n)
 
 
-def iter_spec_coefficients(n: int, max_degree: int, pairs=None):
+def iter_spec_coefficients(n: int, max_degree: int):
     """Coefficients of the specialized window series: the sector-n layer of
     the fusion family in the sector filtration."""
     if n < 2:
         return
-    pairs = pairs or list(range(1, n))
-    for j in pairs:
+    for j in range(1, n):
         for eps in sign_strings(n):
             lhs = specialize_adjacent(TensorPoly.window(eps, max_degree), j)
             for expo, vec in lhs.extract_all().items():
@@ -113,21 +110,13 @@ def iter_spec_coefficients(n: int, max_degree: int, pairs=None):
 def sector_quotient_counts(N: int, max_degree: int) -> dict:
     """Pure-sector quotient dimensions: cone cells modulo the exchange
     family and the specialization coefficients, keyed by (energy, weight)."""
-    cells: dict[tuple, LinearBasis] = {}
-    for vec, tag in iter_hec_generators(N, max_degree):
-        g = {symbol_grade(s) for s in vec}.pop()
-        cells.setdefault(g, LinearBasis(key=symbol_key)).add(vec)
-    for vec, tag in iter_spec_coefficients(N, max_degree):
-        g = {symbol_grade(s) for s in vec}.pop()
-        cells.setdefault(g, LinearBasis(key=symbol_key)).add(vec)
+    span = KernelBasis(sector_caps(N, max_degree, fusion=False), certificates=False)
+    ranks = span.extend(iter_hec_generators, iter_spec_coefficients).ranks()
     out = {}
     for w in range(-N, N + 1, 2):
-        n_eps = sum(1 for eps in sign_strings(N) if sum(eps) == w)
         for d in range(max_degree + 1):
             grade = (d + sector_shift(N, w), w)
-            dim = len(cone_cell(N, -d)) * n_eps
-            rank = cells[grade].rank if grade in cells else 0
-            out[grade] = dim - rank
+            out[grade] = len(span.cell_columns(grade)) - ranks.get(grade, 0)
     return out
 
 

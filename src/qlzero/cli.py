@@ -23,7 +23,8 @@ from .affine import affine_hecke_suite, lemma_suite
 from .characters import character_check, graded_character
 from .fusion import e0_forms_check, rhof_check
 from .hecke import G_poly, S_apply, hecke_suite
-from .kernel import KernelBasis, kernel_build, prop8_check, prop9_check
+from .kernel import (KernelBasis, kernel_build, prop8_check, prop9_check,
+                     sector_caps)
 from .laurent import LaurentPoly
 from .level0 import (chevalley_check, e0_apply, evaluation_module_suite,
                      f0_apply, rhosg_check, t0_apply)
@@ -70,7 +71,14 @@ def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> Ke
     key = f"N{N}-D{depth}-" + "".join(f[0] for f in sorted(families))
     path = cache / f"kernel-{key}.txt"
     if path.exists():
-        return KernelBasis.load_text(path.read_text())
+        # a file of another format, or for another window, is rebuilt
+        try:
+            kb = KernelBasis.load_text(path.read_text())
+        except ValueError:
+            kb = None
+        if (kb is not None and kb.caps == sector_caps(N, depth, "FUS" in families)
+                and sorted(kb.families) == sorted(families)):
+            return kb
     kb = kernel_build(N, Window(N, -depth), families=families)
     path.write_text(kb.save_text())
     return kb
@@ -166,8 +174,7 @@ def cmd_kernel(args) -> int:
     cache = cache_dir(args)
     families = tuple(args.families.split(","))
     kb = cached_kernel(args.n, -int(args.window.split("..")[0]), families, cache)
-    print(f"sectors {kb.meta.sectors} degree {kb.meta.max_degree} "
-          f"families {kb.meta.families}")
+    print(f"sectors {kb.sectors} degree {kb.max_degree} families {kb.families}")
     print(f"generators {kb.n_generators} rank {kb.rank()} "
           f"ambient {kb.ambient_dimension()}")
     if args.out:

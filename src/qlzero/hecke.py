@@ -121,12 +121,10 @@ def R_apply(x: TensorPoly, j: int, k: int) -> tuple[TensorPoly, LaurentPoly]:
     """
     if j >= k:
         raise IndexError("R_apply expects j < k")
-    nv = x.nvars
-    zj = LaurentPoly.var(nv, j)
-    zk = LaurentPoly.var(nv, k)
-    num = S_apply(x, j, k).mul_poly(zk) - S_inv_apply(x, j, k).mul_poly(zj)
+    zj = LaurentPoly.var(x.nvars, j)
+    zk = LaurentPoly.var(x.nvars, k)
     den = zk.scale_coeffs(Q) - zj.scale_coeffs(QINV)
-    return num, den
+    return R_numerator_op(x, j, k, j, k), den
 
 
 def R_numerator_op(x: TensorPoly, j: int, k: int, a: int, b: int) -> TensorPoly:

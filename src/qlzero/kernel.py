@@ -20,7 +20,6 @@ several sectors decomposes cell by cell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .hecke import G_poly, R_numerator_op, S_PAIR
 from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
@@ -177,7 +176,7 @@ def fusion_relation(eps: tuple, j: int, max_degree: int, apply=None) -> TensorPo
     return lhs - rhs.scale(fusion_weight(n, j, eps[j - 1]))
 
 
-def iter_fus_generators(n: int, max_degree: int, pairs: list[int] | None = None):
+def iter_fus_generators(n: int, max_degree: int):
     """Fusion generators from sector n into sector n-2.
 
     For each source string and fusion pair j, the fusion relation is
@@ -187,7 +186,7 @@ def iter_fus_generators(n: int, max_degree: int, pairs: list[int] | None = None)
     """
     if n < 2:
         return
-    for j in pairs or range(1, n):
+    for j in range(1, n):
         for eps in sign_strings(n):
             diff = fusion_relation(eps, j, max_degree)
             for expo, vec in diff.extract_all().items():
@@ -201,53 +200,84 @@ def _eps_str(eps: tuple) -> str:
 
 # -- the kernel basis --------------------------------------------------------
 
+KERNEL_FORMAT = 2
+_HEADER = "# qlzero-kernel "
 
-@dataclass
-class KernelMeta:
-    sectors: tuple
-    max_degree: int
-    families: tuple
-    # deeper sectors carry smaller complete windows (prefactors eat degree)
-    sector_degree: dict | None = None
 
-    def degree_cap(self, n: int) -> int:
-        if self.sector_degree and n in self.sector_degree:
-            return self.sector_degree[n]
-        return self.max_degree
+def sector_caps(N: int, max_degree: int, fusion: bool = True) -> dict:
+    """Degree caps {n: cap} down the sector chain N, N-2, ..., 0 or 1 (the
+    single sector N without fusion): each fusion step n -> n-2 spends the
+    prefactor degree n-2."""
+    caps = {}
+    cap = max_degree
+    for n in range(N, -1, -2) if fusion else (N,):
+        caps[n] = max(cap, 0)
+        cap -= max(n - 2, 0)
+    return caps
 
 
 class KernelBasis:
-    """Row-reduced span of the requested relation families, cell by cell."""
+    """Graded relation span: one row-reduced LinearBasis per (energy, weight)
+    cell, over the window of the sector degree caps {n: cap}.
 
-    def __init__(self, sectors: tuple, max_degree: int, families: tuple,
-                 sector_degree: dict | None = None):
+    The relation window carries exact certificates; the rewriting system
+    and the rank comparisons use the same span with their own column order
+    and without certificates.
+    """
+
+    def __init__(self, caps: dict, families: tuple = (), key=symbol_key,
+                 certificates: bool = True):
         for f in families:
             if f not in FAMILIES:
                 raise ValueError(f"unknown family {f!r}")
-        self.meta = KernelMeta(tuple(sectors), max_degree, tuple(families),
-                               sector_degree)
+        self.caps = dict(caps)
+        self.families = tuple(families)
+        self.key = key
+        self.certificates = certificates
         self.cells: dict[tuple, LinearBasis] = {}
         self.n_generators = 0
         self.provenance: dict[str, int] = {}
 
-    def _cell(self, grade: tuple) -> LinearBasis:
-        basis = self.cells.get(grade)
-        if basis is None:
-            basis = LinearBasis(key=symbol_key, certificates=True)
-            self.cells[grade] = basis
-        return basis
+    @property
+    def sectors(self) -> tuple:
+        return tuple(self.caps)
 
-    def add_generator(self, vec: dict, tag: str):
+    @property
+    def max_degree(self) -> int:
+        return max(self.caps.values(), default=0)
+
+    def add(self, vec: dict, tag: str) -> bool:
+        """File a homogeneous vector in its cell; True when the rank grew."""
         grades = {symbol_grade(s) for s in vec}
         if len(grades) != 1:
             raise ValueError(f"generator not homogeneous: {sorted(grades)} ({tag})")
         self.n_generators += 1
         fam = tag.split(".", 1)[0]
         self.provenance[fam] = self.provenance.get(fam, 0) + 1
-        self._cell(grades.pop()).add(vec, tag)
+        grade = grades.pop()
+        basis = self.cells.get(grade)
+        if basis is None:
+            basis = LinearBasis(key=self.key, certificates=self.certificates)
+            self.cells[grade] = basis
+        return basis.add(vec, tag)
+
+    def extend(self, *families) -> "KernelBasis":
+        """Feed generator families, callables (n, cap) -> (vec, tag) pairs,
+        down the sector chain (sectors below 2 carry no relations)."""
+        for n, cap in self.caps.items():
+            if n < 2:
+                continue
+            for family in families:
+                for vec, tag in family(n, cap):
+                    self.add(vec, tag)
+        return self
 
     def rank(self) -> int:
         return sum(b.rank for b in self.cells.values())
+
+    def ranks(self) -> dict:
+        """{grade: rank} over the cells of nonzero rank."""
+        return {g: b.rank for g, b in self.cells.items() if b.rank}
 
     def ambient_dimension(self) -> int:
         return sum(len(self.cell_columns(g)) for g in self.cells)
@@ -256,11 +286,11 @@ class KernelBasis:
         """All symbols of the given (energy, weight) inside the window."""
         e0, w = grade
         out = []
-        for n in self.meta.sectors:
+        for n, cap in self.caps.items():
             if abs(w) > n or (n - w) % 2:
                 continue
             d = e0 - sector_shift(n, w)
-            if d < 0 or d > self.meta.degree_cap(n):
+            if d < 0 or d > cap:
                 continue
             for eps in sign_strings(n):
                 if sum(eps) != w:
@@ -269,18 +299,20 @@ class KernelBasis:
                     out.append((eps, m))
         return sorted(out, key=symbol_key)
 
-    def member(self, x, want_cert: bool = False):
-        """Membership of a TensorPoly or symbol vector; exact certificate on
-        success, nonzero residual on failure."""
-        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else dict(x)
-        for sym in vec:
-            eps, m = sym
-            if len(eps) not in self.meta.sectors:
-                raise ValueError(f"sector {len(eps)} outside kernel window")
-            if -sum(m) > self.meta.degree_cap(len(eps)) or (m and max(m) > 0):
-                raise ValueError(f"support outside window: {sym}")
+    def reduce(self, x, want_cert: bool = False):
+        """Residual of a TensorPoly or symbol vector modulo the span, cell by
+        cell (and the certificate: {generator tag: coefficient})."""
+        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else x
         by_cell: dict[tuple, dict] = {}
         for sym, c in vec.items():
+            eps, m = sym
+            cap = self.caps.get(len(eps))
+            if cap is None:
+                raise ValueError(f"sector {len(eps)} outside the chain")
+            if m and max(m) > 0:
+                raise ValueError("positive mode: apply the highest-weight cut first")
+            if -sum(m) > cap:
+                raise ValueError(f"support outside window: {sym}")
             by_cell.setdefault(symbol_grade(sym), {})[sym] = c
         residual: dict = {}
         cert: dict = {}
@@ -288,24 +320,30 @@ class KernelBasis:
             basis = self.cells.get(grade)
             if basis is None:
                 residual.update(comp)
-                continue
-            if want_cert:
-                ok, res, cc = basis.member(comp, want_cert=True)
+            elif want_cert:
+                res, cc = basis.reduce(comp, want_cert=True)
+                residual.update(res)
                 cert.update(cc)
             else:
-                ok, res = basis.member(comp)
-            residual.update(res)
+                residual.update(basis.reduce(comp))
+        return (residual, cert) if want_cert else residual
+
+    def member(self, x, want_cert: bool = False):
+        """(is_member, residual[, certificate]): exact certificate on
+        success, nonzero residual on failure."""
         if want_cert:
-            return (not residual, residual, cert)
-        return (not residual, residual)
+            res, cert = self.reduce(x, want_cert=True)
+            return (not res, res, cert)
+        res = self.reduce(x)
+        return (not res, res)
 
     # -- persistence --------------------------------------------------------
 
     def save_text(self) -> str:
-        lines = ["# qlzero-kernel " + json.dumps({
-            "sectors": list(self.meta.sectors),
-            "max_degree": self.meta.max_degree,
-            "families": list(self.meta.families),
+        lines = [_HEADER + json.dumps({
+            "format": KERNEL_FORMAT,
+            "caps": [[n, cap] for n, cap in self.caps.items()],
+            "families": list(self.families),
             "generators": self.n_generators,
             "provenance": self.provenance,
         }, sort_keys=True)]
@@ -332,15 +370,17 @@ class KernelBasis:
 
     @staticmethod
     def load_text(text: str) -> "KernelBasis":
+        """Inverse of save_text; ValueError for any other file format."""
         lines = text.splitlines()
-        head = json.loads(lines[0].split("# qlzero-kernel ", 1)[1])
-        kb = KernelBasis(tuple(head["sectors"]), head["max_degree"],
-                         tuple(head["families"]))
-        kb.n_generators = head["generators"]
-        kb.provenance = dict(head["provenance"])
+        if not lines or not lines[0].startswith(_HEADER):
+            raise ValueError("not a kernel file")
+        head = json.loads(lines[0][len(_HEADER):])
+        if head.get("format") != KERNEL_FORMAT:
+            raise ValueError(f"kernel file format {head.get('format')!r}, "
+                             f"expected {KERNEL_FORMAT}")
+        kb = KernelBasis(dict(head["caps"]), tuple(head["families"]))
         symbols: dict[int, tuple] = {}
         rows: dict[int, dict] = {}
-        grades: dict[int, tuple] = {}
         for ln in lines[1:]:
             if not ln.strip():
                 continue
@@ -353,31 +393,18 @@ class KernelBasis:
                 symbols[i] = (eps, m)
             elif parts[0] == "R":
                 rows[int(parts[1])] = {}
-                grades[int(parts[1])] = (int(parts[2]), int(parts[3]))
             elif parts[0] == "T":
                 r, c = int(parts[1]), int(parts[2])
                 val = _RF.from_text(ln.split(None, 3)[3])
                 rows[r][symbols[c]] = val
         for r in sorted(rows):
-            kb._cell(grades[r]).add(rows[r], f"row{r}")
+            kb.add(rows[r], f"row{r}")
         kb.n_generators = head["generators"]
+        kb.provenance = dict(head["provenance"])
         return kb
 
 
-def sector_caps(N: int, max_degree: int, fusion: bool = True) -> dict:
-    """Degree caps {n: cap} down the sector chain N, N-2, ..., 0 or 1 (the
-    single sector N without fusion): each fusion step n -> n-2 spends the
-    prefactor degree n-2."""
-    caps = {}
-    cap = max_degree
-    for n in range(N, -1, -2) if fusion else (N,):
-        caps[n] = max(cap, 0)
-        cap -= max(n - 2, 0)
-    return caps
-
-
-def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT"),
-                 fusion_pairs: list[int] | None = None) -> KernelBasis:
+def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT")) -> KernelBasis:
     """Build the relation-window basis for the sector chain N, N-2, ...
 
     The highest-weight family is realized structurally (cone windows); it
@@ -388,24 +415,9 @@ def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT"),
         raise ValueError("mode windows require hi <= 0")
     if window.arity != N:
         raise ValueError("window arity mismatch")
-    D = window.depth
-    caps = sector_caps(N, D, "FUS" in families)
-    kb = KernelBasis(tuple(caps), D, tuple(families), sector_degree=caps)
-    for n in caps:
-        if n < 2:
-            continue
-        if "HEC" in families:
-            for vec, tag in iter_hec_generators(n, caps[n]):
-                kb.add_generator(vec, tag)
-        if "FUS" in families:
-            for vec, tag in iter_fus_generators(n, caps[n], fusion_pairs):
-                kb.add_generator(vec, tag)
-    return kb
-
-
-def member(x, kb: KernelBasis, want_cert: bool = False):
-    """Module-level face of the membership oracle."""
-    return kb.member(x, want_cert=want_cert)
+    kb = KernelBasis(sector_caps(N, window.depth, "FUS" in families), families)
+    generators = {"HEC": iter_hec_generators, "FUS": iter_fus_generators}
+    return kb.extend(*(gen for fam, gen in generators.items() if fam in families))
 
 
 # -- statement-level checks --------------------------------------------------
@@ -416,18 +428,8 @@ def prop9_check(N: int, window: Window) -> CheckReport:
     family agree, cell by cell, inside the window."""
     rep = CheckReport(f"commutation vs exchange spans N={N}")
     D = window.depth
-    cells_a: dict[tuple, LinearBasis] = {}
-    cells_b: dict[tuple, LinearBasis] = {}
-    cells_u: dict[tuple, LinearBasis] = {}
-
-    def feed(cells, vec, tag):
-        grades = {symbol_grade(s) for s in vec}
-        assert len(grades) == 1, tag
-        g = grades.pop()
-        if g not in cells:
-            cells[g] = LinearBasis(key=symbol_key)
-        cells[g].add(vec)
-
+    caps = sector_caps(N, D, fusion=False)
+    comm, exch, union = (KernelBasis(caps, certificates=False) for _ in range(3))
     with timer() as t:
         for eps in sign_strings(N):
             for j in range(1, N):
@@ -444,14 +446,12 @@ def prop9_check(N: int, window: Window) -> CheckReport:
                 # so everything up to t = D+1 is complete in this window
                 for expo, vec in fam_a.extract_all().items():
                     if vec and sum(expo) <= D + 1:
-                        feed(cells_a, vec, "A")
-                        feed(cells_u, vec, "A")
+                        comm.add(vec, "A")
+                        union.add(vec, "A")
         for vec, tag in iter_hec_generators(N, D):
-            feed(cells_b, vec, tag)
-            feed(cells_u, vec, tag)
-    ranks_a = {g: b.rank for g, b in cells_a.items() if b.rank}
-    ranks_b = {g: b.rank for g, b in cells_b.items() if b.rank}
-    ranks_u = {g: b.rank for g, b in cells_u.items() if b.rank}
+            exch.add(vec, tag)
+            union.add(vec, tag)
+    ranks_a, ranks_b, ranks_u = comm.ranks(), exch.ranks(), union.ranks()
     ok = ranks_a == ranks_b == ranks_u
     ra, rb, ru = sum(ranks_a.values()), sum(ranks_b.values()), sum(ranks_u.values())
     check(rep, f"prop9.spans.N{N}",

@@ -206,7 +206,7 @@ def chevalley_check(N: int, window: Window, kernel, p: RatFuncQ = P_DEFAULT,
     (which is what acting on the quotient means).  e0/f0 preserve degree
     and weight shifts by -2/+2, so no margin is consumed.
     """
-    if kernel.meta.max_degree < window.depth:
+    if kernel.max_degree < window.depth:
         raise ValueError("window underflow: kernel shallower than the window")
     rep = CheckReport(f"quotient relations N={N}")
     qdiff_inv = (qpow(1) - qpow(-1)).inv()

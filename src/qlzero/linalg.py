@@ -16,6 +16,17 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 
+def _axpy(target: dict, c, row: dict) -> None:
+    """target -= c * row, in place, dropping the entries that cancel."""
+    for col, v in row.items():
+        s = target.get(col)
+        s = -(c * v) if s is None else s - c * v
+        if s:
+            target[col] = s
+        elif col in target:
+            del target[col]
+
+
 class LinearBasis:
     def __init__(self, key: Callable[[Hashable], object] | None = None,
                  certificates: bool = False):
@@ -34,6 +45,7 @@ class LinearBasis:
         combination of generator ids that was subtracted."""
         vec = dict(vec)
         cert: dict = {}
+        certify = want_cert and self.certificates
         # Rows never contain other rows' pivot columns, so one pass over the
         # original support is enough.
         for col in sorted(vec, key=self.key):
@@ -41,28 +53,15 @@ class LinearBasis:
             if row is None or col not in vec:
                 continue
             c = vec[col]
-            for col2, v2 in row.items():
-                s = vec.get(col2)
-                s = -(c * v2) if s is None else s - c * v2
-                if s:
-                    vec[col2] = s
-                elif col2 in vec:
-                    del vec[col2]
-            if want_cert and self.certificates:
-                for g, v in self.combos[col].items():
-                    s = cert.get(g)
-                    s = c * v if s is None else s + c * v
-                    if s:
-                        cert[g] = s
-                    elif g in cert:
-                        del cert[g]
+            _axpy(vec, c, row)
+            if certify:
+                _axpy(cert, -c, self.combos[col])
         return (vec, cert) if want_cert else vec
 
     def add(self, vec: dict, gen_id=None) -> bool:
         """Insert a vector; returns True when the rank grew."""
         self.n_seen += 1
-        vec, cert = self.reduce(vec, want_cert=True) if self.certificates \
-            else (self.reduce(vec), {})
+        vec, cert = self.reduce(vec, want_cert=True)
         if not vec:
             return False
         piv = min(vec, key=self.key)
@@ -75,26 +74,13 @@ class LinearBasis:
             combo = {g: -(v * inv) for g, v in cert.items()}
             combo[gid] = inv
         # eliminate the new pivot from existing rows
-        for p2, row2 in list(self.pivots.items()):
+        for p2, row2 in self.pivots.items():
             c = row2.get(piv)
             if c is None:
                 continue
-            for col, v in row.items():
-                s = row2.get(col)
-                s = -(c * v) if s is None else s - c * v
-                if s:
-                    row2[col] = s
-                elif col in row2:
-                    del row2[col]
+            _axpy(row2, c, row)
             if self.certificates:
-                comb2 = self.combos[p2]
-                for g, v in combo.items():
-                    s = comb2.get(g)
-                    s = -(c * v) if s is None else s - c * v
-                    if s:
-                        comb2[g] = s
-                    elif g in comb2:
-                        del comb2[g]
+                _axpy(self.combos[p2], c, combo)
         self.pivots[piv] = row
         if self.certificates:
             self.combos[piv] = combo

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (iter_ab_relations, iter_fus_generators, kernel_build,
-                     sector_caps, symbol_grade, tensor_to_vec)
-from .linalg import LinearBasis
+from .kernel import (KernelBasis, iter_ab_relations, iter_fus_generators,
+                     kernel_build, sector_caps, symbol_grade, tensor_to_vec)
 from .report import CheckReport, check, timer
 from .tensor import TensorPoly
 from .windows import Window
@@ -69,56 +68,20 @@ class NormalForm:
         return " + ".join(bits)
 
 
-class RewriteSystem:
-    """Oriented relation window for the sector chain N, N-2, ..."""
+class RewriteSystem(KernelBasis):
+    """Oriented relation window for the sector chain N, N-2, ...: the
+    graded span of the symmetrization rows (and the fusion generators),
+    pivoting in rewrite order, without certificates."""
 
     def __init__(self, N: int, max_degree: int, fusion: bool = True):
-        self.N = N
-        self.max_degree = max_degree
-        self.caps = sector_caps(N, max_degree, fusion)
-        self.sectors = list(self.caps)
-        self.cells: dict[tuple, LinearBasis] = {}
-        self.n_rules = 0
-        for n in self.sectors:
-            if n < 2:
-                continue
-            for vec, tag in iter_ab_relations(n, self.caps[n]):
-                self._add(vec)
-            if fusion:
-                for vec, tag in iter_fus_generators(n, self.caps[n]):
-                    self._add(vec)
-
-    def _add(self, vec: dict):
-        grade = {symbol_grade(s) for s in vec}.pop()
-        basis = self.cells.get(grade)
-        if basis is None:
-            basis = LinearBasis(key=rewrite_key)
-            self.cells[grade] = basis
-        if basis.add(vec):
-            self.n_rules += 1
-
-    def reduce_vec(self, vec: dict, budget: int = 100000) -> dict:
-        by_cell: dict[tuple, dict] = {}
-        for sym, c in vec.items():
-            if len(sym[0]) not in self.sectors:
-                raise ValueError(f"sector {len(sym[0])} outside the chain")
-            if sym[1] and max(sym[1]) > 0:
-                raise ValueError("positive mode: apply the highest-weight cut first")
-            if -sum(sym[1]) > self.caps[len(sym[0])]:
-                raise ValueError(f"support outside window: {sym}")
-            by_cell.setdefault(symbol_grade(sym), {})[sym] = c
-        if len(by_cell) > budget:
-            raise RuntimeError("rewrite budget exceeded")
-        out: dict = {}
-        for grade, comp in by_cell.items():
-            basis = self.cells.get(grade)
-            out.update(basis.reduce(comp) if basis is not None else comp)
-        return out
+        super().__init__(sector_caps(N, max_degree, fusion), key=rewrite_key,
+                         certificates=False)
+        self.extend(*((iter_ab_relations, iter_fus_generators) if fusion
+                      else (iter_ab_relations,)))
 
     def normal_form(self, x) -> NormalForm:
         """Canonical admissible representative of a window element."""
-        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else dict(x)
-        red = self.reduce_vec(vec)
+        red = self.reduce(x)
         terms = sorted(((eps, zeta_modes(eps, m), c) for (eps, m), c in red.items()),
                        key=lambda t: (len(t[0]), t[1], t[0]))
         return NormalForm(terms)
@@ -196,13 +159,14 @@ def rewriter_completeness_check(N: int, window: Window) -> CheckReport:
     kb = kernel_build(N, Window(N, -D), families=("HEC", "FUS", "HWT"))
     with timer() as t:
         bad = []
+        ranks = kb.ranks()
         grades = set(rs.cells) | set(kb.cells)
         for grade in sorted(grades):
             cols = kb.cell_columns(grade)
             if not cols:
                 continue
             cnt = rs.admissible_count(grade, cols)
-            quot = len(cols) - (kb.cells[grade].rank if grade in kb.cells else 0)
+            quot = len(cols) - ranks.get(grade, 0)
             if cnt != quot:
                 bad.append((grade, cnt, quot))
     check(rep, f"rewriter.complete.N{N}",

@@ -91,13 +91,6 @@ def qp_mul_int(a: QP, n: int) -> QP:
     return tuple(c * n for c in a)
 
 
-def qp_pow(a: QP, n: int) -> QP:
-    r = QP_ONE
-    for _ in range(n):
-        r = qp_mul(r, a)
-    return r
-
-
 def qp_content(a: QP) -> int:
     """Integer content with the sign of the leading coefficient."""
     if not a:
@@ -344,33 +337,14 @@ def is_q_monomial(s: RatFuncQ) -> bool:
     return bool(s.num) and mono(s.num) and mono(s.den)
 
 
-def q_monomial_power(s: RatFuncQ) -> int:
-    """Exponent k of a q-monomial c*q^k."""
-    if not is_q_monomial(s):
-        raise ValueError("not a q-monomial")
-    kn = next(i for i, c in enumerate(s.num) if c)
-    kd = next(i for i, c in enumerate(s.den) if c)
-    return kn - kd
-
-
-class EtaSeries:
+def eta_expand(order: int, inverse: bool = False) -> list[RatFuncQ]:
     """Truncated z-expansion of the fusion-normalizing infinite product
 
         eta(z) = prod_{n>=0} (1 - q^{4n+6} z) / (1 - q^{4n+4} z)
 
-    or of its reciprocal.  coeffs[d] is the exact Q(q) coefficient of z^d.
-    """
-
-    def __init__(self, order: int, inverse: bool = False):
-        self.order = order
-        self.inverse = inverse
-        self.coeffs = _eta_coeffs(order, inverse)
-
-    def __getitem__(self, d: int) -> RatFuncQ:
-        return self.coeffs[d]
-
-
-def _eta_coeffs(order: int, inverse: bool) -> list[RatFuncQ]:
+    or of its reciprocal: entry d is the exact Q(q) coefficient of z^d."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     direct = [QQ_ONE]
     # Functional equation eta(z)(1 - q^4 z) = (1 - q^6 z) eta(q^4 z) gives
     # eta_D = q^4 (1 - q^{4D-2})/(1 - q^{4D}) eta_{D-1}.
@@ -387,10 +361,3 @@ def _eta_coeffs(order: int, inverse: bool) -> list[RatFuncQ]:
             acc = acc + direct[k] * inv[d - k]
         inv.append(-acc)
     return inv
-
-
-def eta_expand(order: int, inverse: bool = False) -> EtaSeries:
-    """Exact truncated expansion of eta(z) or 1/eta(z)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return EtaSeries(order, inverse)

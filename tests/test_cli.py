@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
     r = subprocess.run([sys.executable, "-m", "qlzero.cli", *args],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     return r.returncode, r.stdout, r.stderr
 
 
@@ -65,6 +70,26 @@ def test_kernel_command_and_cache(tmp_path):
     rc2, out2, _ = run("kernel", "--n", "2", "--window=-2..0", "--cache", str(tmp_path))
     assert rc1 == rc2 == 0 and out1 == out2
     assert any(p.name.startswith("kernel-") for p in tmp_path.iterdir())
+
+
+def test_kernel_cache_replaces_stale_files(tmp_path):
+    from qlzero.kernel import KernelBasis, kernel_build
+    from qlzero.windows import Window
+
+    fresh = kernel_build(2, Window(2, -2), families=("HEC", "HWT")).save_text()
+    path = tmp_path / "kernel-N2-D2-HH.txt"
+    old = ('# qlzero-kernel {"families": ["HEC", "HWT"], "generators": 6, '
+           '"max_degree": 2, "provenance": {"HEC": 6}, "sectors": [2]}\n'
+           + fresh.split("\n", 1)[1])
+    shallow = kernel_build(2, Window(2, -1), families=("HEC", "HWT")).save_text()
+    for stale in (old, shallow):
+        path.write_text(stale)
+        rc, out, err = run("kernel", "--n", "2", "--window=-2..0",
+                           "--families", "HEC,HWT", "--cache", str(tmp_path))
+        assert rc == 0, err
+        assert "degree 2" in out
+        assert path.read_text() == fresh
+        assert KernelBasis.load_text(path.read_text()).caps == {2: 2}
 
 
 def test_chars_command():

@@ -6,14 +6,13 @@ from qlzero.kernel import (
     iter_ab_relations,
     iter_hec_generators,
     kernel_build,
-    member,
     prop8_check,
     prop9_check,
+    sector_caps,
     symbol_grade,
-    symbol_key,
     tensor_to_vec,
 )
-from qlzero.linalg import LinearBasis
+from qlzero.rewrite import RewriteSystem
 from qlzero.scalars import qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly
 from qlzero.windows import Window
@@ -65,7 +64,7 @@ def test_member_linearity_and_certificates():
 
 def test_full_families_rank_below_ambient():
     kb = kernel_build(2, Window(2, -3))
-    assert kb.meta.sectors == (2, 0)
+    assert kb.sectors == (2, 0)
     assert 0 < kb.rank() < kb.ambient_dimension()
     assert kb.provenance["HEC"] > 0 and kb.provenance["FUS"] > 0
 
@@ -105,18 +104,61 @@ def test_persistence_round_trip():
     assert kb.member(x)[0] == kb2.member(x)[0]
 
 
-def test_ab_span_equals_exchange_span():
-    def rank_cells(gens):
-        cells = {}
-        for vec, _tag in gens:
-            g = {symbol_grade(s) for s in vec}.pop()
-            cells.setdefault(g, LinearBasis(key=symbol_key)).add(vec)
-        return {g: b.rank for g, b in cells.items() if b.rank}
+def test_persistence_keeps_sector_caps():
+    # the sector-1 window of the N=3 fusion chain is one degree shallower;
+    # a loaded kernel must keep rejecting what the built one rejects
+    kb = kernel_build(3, Window(3, -3))
+    assert kb.caps == {3: 3, 1: 2}
+    kb2 = KernelBasis.load_text(kb.save_text())
+    assert list(kb2.caps.items()) == list(kb.caps.items())
+    assert kb2.families == kb.families and kb2.max_degree == 3
+    deep = {((PLUS,), (-3,)): qq_int(1)}
+    for k in (kb, kb2):
+        with pytest.raises(ValueError):
+            k.member(deep)
+    inside = {((PLUS,), (-2,)): qq_int(1)}
+    assert kb.member(inside) == kb2.member(inside)
 
-    ab = rank_cells(iter_ab_relations(2, 3))
-    hec = rank_cells(iter_hec_generators(2, 3))
-    union = rank_cells(list(iter_ab_relations(2, 3)) + list(iter_hec_generators(2, 3)))
-    assert ab == hec == union
+
+def test_load_rejects_other_formats():
+    text = kernel_build(2, Window(2, -2), families=("HEC", "HWT")).save_text()
+    body = text.split("\n", 1)[1]
+    old = ('# qlzero-kernel {"families": ["HEC", "HWT"], "generators": 6, '
+           '"max_degree": 2, "provenance": {"HEC": 6}, "sectors": [2]}\n')
+    for bad in (old + body, text.replace('"format": 2', '"format": 3', 1),
+                body, ""):
+        with pytest.raises(ValueError):
+            KernelBasis.load_text(bad)
+
+
+def test_kernel_and_rewriter_share_the_window():
+    # one window check: both spans reject a positive mode, a sector off the
+    # chain and a degree above the cap, and agree on membership inside it
+    kb = kernel_build(2, Window(2, -2))
+    rs = RewriteSystem(2, 2)
+    assert kb.caps == rs.caps == {2: 2, 0: 2}
+    outside = [((PLUS, MINUS), (1, -1)),
+               ((PLUS,), (0,)),
+               ((PLUS, MINUS, PLUS), (0, 0, 0)),
+               ((PLUS, MINUS), (-2, -1))]
+    for sym in outside:
+        for span in (kb, rs):
+            with pytest.raises(ValueError):
+                span.reduce({sym: qq_int(1)})
+    for sym in (((MINUS, PLUS), (-1, -1)), ((PLUS, PLUS), (0, -2)), ((), ())):
+        vec = {sym: qq_int(1)}
+        assert kb.member(vec)[0] == (not rs.reduce(vec))
+
+
+def test_ab_span_equals_exchange_span():
+    def rank_cells(*families):
+        span = KernelBasis(sector_caps(2, 3, fusion=False), certificates=False)
+        return span.extend(*families).ranks()
+
+    ab = rank_cells(iter_ab_relations)
+    hec = rank_cells(iter_hec_generators)
+    union = rank_cells(iter_ab_relations, iter_hec_generators)
+    assert ab and ab == hec == union
 
 
 def test_prop9_and_prop8_small():
@@ -128,12 +170,6 @@ def test_prop9_and_prop8_small():
 def test_prop9_degenerate_window():
     rep = prop9_check(2, Window(2, 0))
     assert rep.ok  # single-monomial window: both spans trivial
-
-
-def test_module_level_member():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
-    x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
-    assert member(x, kb)[0]
 
 
 def test_kernel_stability_under_operators():

@@ -68,8 +68,8 @@ def test_linearity_of_reduction():
     x = TensorPoly.monomial((PLUS, MINUS), (0, -1))
     y = TensorPoly.monomial((MINUS, PLUS), (0, -1), qpow(2))
     lhs = rs.normal_form(x + y)
-    a = rs.reduce_vec({((PLUS, MINUS), (0, -1)): qq_int(1)})
-    b = rs.reduce_vec({((MINUS, PLUS), (0, -1)): qpow(2)})
+    a = rs.reduce({((PLUS, MINUS), (0, -1)): qq_int(1)})
+    b = rs.reduce({((MINUS, PLUS), (0, -1)): qpow(2)})
     merged = dict(a)
     for k, v in b.items():
         merged[k] = merged.get(k, qq_int(0)) + v
