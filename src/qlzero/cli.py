@@ -173,7 +173,10 @@ def cmd_check(args) -> int:
 def cmd_kernel(args) -> int:
     cache = cache_dir(args)
     families = tuple(args.families.split(","))
-    kb = cached_kernel(args.n, -int(args.window.split("..")[0]), families, cache)
+    window = parse_window(args.window, args.n)
+    if window.hi != 0:
+        raise ConfigError(f"kernel windows end at mode 0, got {args.window!r}")
+    kb = cached_kernel(args.n, window.depth, families, cache)
     print(f"sectors {kb.sectors} degree {kb.max_degree} families {kb.families}")
     print(f"generators {kb.n_generators} rank {kb.rank()} "
           f"ambient {kb.ambient_dimension()}")

@@ -122,6 +122,15 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
     window = window or Window(N, -3)
     monos = list(window.exponents())
     strs = sign_strings(N)
+    # Y images recur across adjacent pairs and in the far block; key
+    # (m, k, e) for Y_k^e z^m and (m, j, k, e) for Y_k^e G_{j,j+1} z^m
+    y_images: dict[tuple, LaurentPoly] = {}
+
+    def y_image(key: tuple, f: LaurentPoly, k: int, e: int) -> LaurentPoly:
+        out = y_images.get(key)
+        if out is None:
+            out = y_images[key] = Y_poly(f, k, p, e)
+        return out
 
     for j in range(1, N):
         pair = (j, j + 1)
@@ -151,9 +160,9 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
                 for m in monos:
                     mono = LaurentPoly.monomial(N, m)
                     gm = G_poly(mono, j, j + 1, 1)
-                    A = {k: Y_poly(mono, k, p, ex) for k in pair}
+                    A = {k: y_image((m, k, ex), mono, k, ex) for k in pair}
                     B = {k: G_poly(A[k], j, j + 1, 1) for k in pair}
-                    C = {k: Y_poly(gm, k, p, ex) for k in pair}
+                    C = {k: y_image((m, j, k, ex), gm, k, ex) for k in pair}
                     for tA, tB, tC in slots:
                         diff = TensorPoly.zero(N, N)
                         for k in pair:
@@ -175,7 +184,7 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
                 for m in monos[:: max(1, len(monos) // 8)]:
                     mono = LaurentPoly.monomial(N, m)
                     if (Y_poly(G_poly(mono, j, j + 1), k, p, -1)
-                            - G_poly(Y_poly(mono, k, p, -1), j, j + 1)):
+                            - G_poly(y_image((m, k, -1), mono, k, -1), j, j + 1)):
                         bad += 1
                 for e in strs:
                     x = TensorPoly.basis(e, LaurentPoly.one(N))

@@ -11,6 +11,14 @@ A RatFuncQ is a reduced fraction num/den of two q-polynomials:
 
 With that normalization two RatFuncQ are equal iff their components are
 equal, so `== QQ_ZERO` is the global exact zero test.
+
+Almost every coefficient the checks touch is a Laurent polynomial: its
+denominator is c*q^k with c > 0.  Such a fraction reduces by its q-valuation
+and integer content alone (`_reduce_mono`), so products, sums and
+normalizations with monomial denominators never compute a polynomial gcd.
+Any other denominator (the cyclotomic factors from pivots and eta factors)
+falls back to the primitive-PRS gcd `qp_gcd`.  Exact division in Z[q]
+(`qp_div_exact`) is integer-only.
 """
 
 from __future__ import annotations
@@ -109,35 +117,29 @@ def qp_primitive(a: QP) -> QP:
 
 
 def qp_div_exact(a: QP, b: QP) -> QP:
-    """a // b when b divides a exactly (raises otherwise)."""
+    """a // b when b divides a exactly in Z[q]; raises ArithmeticError when
+    the quotient is not in Z[q].  Integer-only: when it is, every top-down
+    step divides the leading remainder coefficient exactly by b's."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return QP_ZERO
-    from fractions import Fraction
-
-    rem = [Fraction(c) for c in a]
-    db, lb = qp_deg(b), b[-1]
-    if db < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        f = rem[-1] / lb
-        quo[k] = f
-        for i, c in enumerate(b):
-            rem[k + i] -= f * c
-        rem.pop()
-    if any(rem):
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        f, r = divmod(rem[k + db], lb)
+        if r:
             raise ArithmeticError("inexact polynomial division")
-        out.append(int(c))
-    return qp_trim(out)
+        if f:
+            quo[k] = f
+            for i in range(db):
+                rem[k + i] -= f * b[i]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
 
 
 def _pseudo_rem(a: QP, b: QP) -> QP:
@@ -231,8 +233,21 @@ class RatFuncQ:
 
     def __add__(self, other):
         a, b = self, other
+        if not a.num:
+            return b
+        if not b.num:
+            return a
         if a.den == b.den:
             return RatFuncQ(qp_add(a.num, b.num), a.den)
+        ka, kb = _mono_deg(a.den), _mono_deg(b.den)
+        if ka >= 0 and kb >= 0:
+            # common denominator lcm(c_a, c_b) * q^max(k_a, k_b)
+            ca, cb = a.den[-1], b.den[-1]
+            c = ca // math.gcd(ca, cb) * cb
+            k = max(ka, kb)
+            num = qp_add((0,) * (k - ka) + qp_mul_int(a.num, c // ca),
+                         (0,) * (k - kb) + qp_mul_int(b.num, c // cb))
+            return RatFuncQ(*_reduce_mono(num, c, k), _reduced=True)
         g = qp_gcd(a.den, b.den)
         if g == QP_ONE:
             num = qp_add(qp_mul(a.num, b.den), qp_mul(b.num, a.den))
@@ -253,6 +268,11 @@ class RatFuncQ:
             return NotImplemented
         if not self.num or not other.num:
             return QQ_ZERO
+        ka, kb = _mono_deg(self.den), _mono_deg(other.den)
+        if ka >= 0 and kb >= 0:
+            return RatFuncQ(*_reduce_mono(qp_mul(self.num, other.num),
+                                          self.den[-1] * other.den[-1],
+                                          ka + kb), _reduced=True)
         g1 = qp_gcd(self.num, other.den)
         g2 = qp_gcd(other.num, self.den)
         n1 = self.num if g1 == QP_ONE else qp_div_exact(self.num, g1)
@@ -289,11 +309,43 @@ class RatFuncQ:
         return RatFuncQ(qp_parse(s))
 
 
+def _mono_deg(p: QP) -> int:
+    """k when p = c*q^k, else -1."""
+    k = len(p) - 1
+    return -1 if any(p[:k]) else k
+
+
+def _reduce_mono(num: QP, c: int, k: int) -> tuple[QP, QP]:
+    """Canonical form of num / (c*q^k) with c > 0.  The only common factors
+    are a power of q and an integer, so strip the common q-valuation and
+    the common content; no polynomial gcd is needed."""
+    if not num:
+        return QP_ZERO, QP_ONE
+    v = 0
+    while v < k and not num[v]:
+        v += 1
+    if v:
+        num, k = num[v:], k - v
+    g = c
+    for x in num:
+        if g == 1:
+            break
+        g = math.gcd(g, x)
+    if g != 1:
+        num, c = tuple(x // g for x in num), c // g
+    return num, (0,) * k + (c,)
+
+
 def _reduce(num: QP, den: QP) -> tuple[QP, QP]:
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return QP_ZERO, QP_ONE
+    k = _mono_deg(den)
+    if k >= 0:
+        if den[-1] < 0:
+            return _reduce_mono(qp_neg(num), -den[-1], k)
+        return _reduce_mono(num, den[-1], k)
     g = qp_gcd(num, den)
     if g != QP_ONE:
         num = qp_div_exact(num, g)

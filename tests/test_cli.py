@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -70,6 +72,14 @@ def test_kernel_command_and_cache(tmp_path):
     rc2, out2, _ = run("kernel", "--n", "2", "--window=-2..0", "--cache", str(tmp_path))
     assert rc1 == rc2 == 0 and out1 == out2
     assert any(p.name.startswith("kernel-") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("window", ["-1..2", "2..3", "-2..-1", "-2"])
+def test_kernel_window_must_end_at_zero(tmp_path, window):
+    rc, _out, err = run("kernel", "--n", "1", f"--window={window}",
+                        "--families", "HEC,HWT", "--cache", str(tmp_path))
+    assert rc == 2 and "configuration error" in err and window in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_kernel_cache_replaces_stale_files(tmp_path):

@@ -1,5 +1,7 @@
+import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlzero.scalars import (
@@ -9,11 +11,15 @@ from qlzero.scalars import (
     QQ_ZERO,
     RatFuncQ,
     eta_expand,
+    qp_add,
+    qp_div_exact,
     qp_from_dict,
     qp_gcd,
     qp_monomial,
     qp_mul,
+    qp_neg,
     qp_sub,
+    qp_trim,
     qpow,
     qq_int,
     rfq_normalize,
@@ -145,3 +151,166 @@ def test_serialization_roundtrip():
             continue
         a = rfq_normalize(num, den)
         assert RatFuncQ.from_text(a.to_text()) == a
+
+
+# -- exact division in Z[q] -------------------------------------------------------
+
+
+def test_div_exact_quotients():
+    b = qp_from_dict({0: 4, 1: 2})                 # 2q + 4, not monic
+    a = qp_from_dict({0: -1, 2: 3})                # 3q^2 - 1
+    assert qp_div_exact(qp_mul(a, b), b) == a
+    assert qp_div_exact((6,), (2,)) == (3,)
+    assert qp_div_exact((0, 0, -6), (0, 3)) == (0, -2)
+    assert qp_div_exact(QP_ZERO, (5, 1)) == QP_ZERO
+
+
+@pytest.mark.parametrize("a, b", [((1,), (2,)), ((1, 1), (1, 2)),
+                                  ((1,), (1, 1)), ((1, 0, 1), (1, 1))])
+def test_div_exact_rejects_quotients_outside_zq(a, b):
+    with pytest.raises(ArithmeticError):
+        qp_div_exact(a, b)
+
+
+@pytest.mark.parametrize("a", [(1,), QP_ZERO])
+def test_div_exact_by_zero(a):
+    with pytest.raises(ZeroDivisionError):
+        qp_div_exact(a, QP_ZERO)
+
+
+polys = st.lists(st.integers(min_value=-30, max_value=30), max_size=6).map(qp_trim)
+
+
+@given(polys, polys.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_div_exact_inverts_mul(a, b):
+    assert qp_div_exact(qp_mul(a, b), b) == a
+
+
+# -- Q(q) arithmetic against a reference normalizer ----------------------------------
+
+
+def ref_reduce(num, den):
+    """num/den in canonical form by the general route: primitive gcd, exact
+    division, integer content, positive leading coefficient of den."""
+    if not num:
+        return QP_ZERO, QP_ONE
+    g = qp_gcd(num, den)
+    num, den = qp_div_exact(num, g), qp_div_exact(den, g)
+    c = math.gcd(math.gcd(*num), math.gcd(*den))
+    if den[-1] < 0:
+        c = -c
+    return tuple(x // c for x in num), tuple(x // c for x in den)
+
+
+def ref(num, den):
+    return RatFuncQ(*ref_reduce(num, den), _reduced=True)
+
+
+def ref_mul(a, b):
+    return ref(qp_mul(a.num, b.num), qp_mul(a.den, b.den))
+
+
+def ref_add(a, b):
+    return ref(qp_add(qp_mul(a.num, b.den), qp_mul(a.den, b.num)),
+               qp_mul(a.den, b.den))
+
+
+def ref_sub(a, b):
+    return ref_add(a, RatFuncQ(qp_neg(b.num), b.den, _reduced=True))
+
+
+def ref_inv(a):
+    return ref(a.den, a.num)
+
+
+def is_monomial(p):
+    return sum(1 for c in p if c) == 1
+
+
+def one_minus_q(n):
+    return qp_sub(QP_ONE, qp_monomial(n))
+
+
+def cyclotomic_product(ns):
+    out = QP_ONE
+    for n in ns:
+        out = qp_mul(out, one_minus_q(n))
+    return out
+
+
+# numerators with shared content and valuation, zero and negative included
+numerators = st.builds(
+    lambda cs, content, val: qp_trim([0] * val + [content * c for c in cs]),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+    st.sampled_from([1, 1, 2, 3, 6, -4]),
+    st.integers(min_value=0, max_value=4))
+laurent_dens = st.builds(lambda c, k: qp_monomial(k, c),
+                         st.sampled_from([1, 1, 2, 3, 4, 6, 12, -1, -6]),
+                         st.integers(min_value=0, max_value=5))
+cyclotomic_dens = st.builds(
+    lambda ns, c, k: qp_mul(qp_monomial(k, c), cyclotomic_product(ns)),
+    st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=3),
+    st.sampled_from([1, 2, -3]),
+    st.integers(min_value=0, max_value=3))
+
+
+raw_fractions = st.tuples(numerators, st.one_of(laurent_dens, cyclotomic_dens))
+fractions = raw_fractions.map(lambda nd: ref(*nd))
+
+
+def assert_field_ops_match(a, b):
+    assert a * b == ref_mul(a, b)
+    assert a + b == ref_add(a, b)
+    assert a - b == ref_sub(a, b)
+    if a:
+        assert a.inv() == ref_inv(a)
+
+
+@given(raw_fractions)
+@settings(max_examples=200, deadline=None)
+def test_normalize_matches_reference(nd):
+    num, den = nd
+    got = rfq_normalize(num, den)
+    assert (got.num, got.den) == ref_reduce(num, den)
+
+
+@given(fractions, fractions)
+@settings(max_examples=300, deadline=None)
+def test_field_ops_match_reference(a, b):
+    assert_field_ops_match(a, b)
+
+
+def test_field_ops_fixed_cases():
+    """One pair per branch of the Q(q) arithmetic, each checked to be in its
+    case, so that no branch goes unexercised."""
+    laurent_a = ref((4, 2), (0, 0, 3))                # (2q + 4)/(3q^2)
+    laurent_b = ref((0, 3), (4,))                     # 3q/4
+    cyclo_a = ref(QP_ONE, one_minus_q(1))             # 1/(1 - q)
+    cyclo_b = ref((0, 1), one_minus_q(2))             # q/(1 - q^2)
+    for x, mono in ((laurent_a, True), (laurent_b, True),
+                    (cyclo_a, False), (cyclo_b, False)):
+        assert is_monomial(x.den) == mono
+    # both sides monomial: (q + 2)/(2q), valuation and content stripped
+    assert laurent_a * laurent_b == ref((2, 1), (0, 2))
+    assert laurent_a + laurent_b == ref((16, 8, 0, 9), (0, 0, 12))
+    # exactly one side monomial
+    for a, b in ((laurent_a, cyclo_b), (cyclo_a, laurent_b)):
+        assert is_monomial(a.den) != is_monomial(b.den)
+        assert_field_ops_match(a, b)
+        assert_field_ops_match(b, a)
+    # neither side monomial
+    assert_field_ops_match(cyclo_a, cyclo_b)
+    assert cyclo_a - cyclo_b == ref(QP_ONE, one_minus_q(2))
+    # sums that cancel to zero, on either kind of denominator
+    for x in (laurent_a, cyclo_b):
+        assert x + (-x) == QQ_ZERO
+        assert (x + (-x)).den == QP_ONE
+    # integer content to strip: 1/2 + 1/2 (same denominator), q/6 + q/3
+    half = ref(QP_ONE, (2,))
+    assert half + half == QQ_ONE
+    assert ref((0, 1), (6,)) + ref((0, 1), (3,)) == ref((0, 1), (2,))
+    assert (ref((0, 1), (6,)) + ref((0, 1), (3,))).den == (2,)
+    # a monomial denominator with negative sign normalizes to c > 0
+    neg = rfq_normalize((0, 2), (0, 0, -4))
+    assert (neg.num, neg.den) == ((-1,), (0, 2))
