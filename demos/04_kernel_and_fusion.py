@@ -2,8 +2,8 @@
 
 The quotient of the free spinon model by the relation ideal is what the
 level-0 action actually lives on.  At desk scale the ideal is a finite
-row-reduced basis per (energy, weight) cell; membership comes with an
-exact certificate.  Fusion ties the two-spinon window to the vacuum, and
+row-reduced basis per (energy, weight) cell; a member gets, on request,
+an exact certificate over the named generators, checked by recomputation.  Fusion ties the two-spinon window to the vacuum, and
 the compatibility of the twisted generators with fusion singles out the
 fourth power of q - a wrong scale visibly fails.
 """
@@ -23,14 +23,17 @@ print("provenance:", kb.provenance)
 
 print("\n== membership with certificates ==")
 x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
-ok, res, cert = kb.member(x, want_cert=True)
-print(f"top like-sign symbol is a member: {ok}; certificate rows: {len(cert)}")
+ok, res = kb.member(x)
+print(f"top like-sign symbol is a member: {ok}")
+print("verified certificate:", kb.certificate(x))
 y = TensorPoly.monomial((PLUS, MINUS), (0, 0))
 ok, res = kb.member(y)
 print(f"top mixed-sign symbol alone: member={ok} (it carries the vacuum)")
 vac = TensorPoly.monomial((), (), qpow(1))
-ok, _ = kb.member(tensor_to_vec(y) | tensor_to_vec(vac))
+fused = tensor_to_vec(y) | tensor_to_vec(vac)
+ok, _ = kb.member(fused)
 print(f"mixed-sign symbol + q*vacuum: member={ok}  <- the fusion relation")
+print("its certificate:", kb.certificate(fused))
 
 print("\n== the fusion map ==")
 print("fuse(v+ v-):", fuse(TensorPoly.basis((PLUS, MINUS), LaurentPoly.one(2)), 1))

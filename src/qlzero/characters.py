@@ -110,7 +110,7 @@ def iter_spec_coefficients(n: int, max_degree: int):
 def sector_quotient_counts(N: int, max_degree: int) -> dict:
     """Pure-sector quotient dimensions: cone cells modulo the exchange
     family and the specialization coefficients, keyed by (energy, weight)."""
-    span = KernelBasis(sector_caps(N, max_degree, fusion=False), certificates=False)
+    span = KernelBasis(sector_caps(N, max_degree, fusion=False))
     ranks = span.extend(iter_hec_generators, iter_spec_coefficients).ranks()
     out = {}
     for w in range(-N, N + 1, 2):

@@ -15,6 +15,11 @@ Cells are keyed by (energy, weight), where energy is the sector-consistent
 grade: energy = degree - sum(offsets) - floor(N/2) + (number of minus
 signs).  Fusion is energy- and weight-homogeneous, so a KernelBasis over
 several sectors decomposes cell by cell.
+
+The span is built without combinations.  A membership certificate is
+solved on request, cell by cell, against the generators regenerated from
+the span's families and caps, and is returned only after the sum it names
+has been recomputed and compared with the vector exactly.
 """
 
 from __future__ import annotations
@@ -198,6 +203,10 @@ def _eps_str(eps: tuple) -> str:
     return "".join("+" if s > 0 else "-" for s in eps) or "0"
 
 
+# family name -> generator family, a callable (n, cap) -> (vec, tag) pairs
+GENERATORS = {"HEC": iter_hec_generators, "FUS": iter_fus_generators}
+
+
 # -- the kernel basis --------------------------------------------------------
 
 KERNEL_FORMAT = 2
@@ -220,23 +229,24 @@ class KernelBasis:
     """Graded relation span: one row-reduced LinearBasis per (energy, weight)
     cell, over the window of the sector degree caps {n: cap}.
 
-    The relation window carries exact certificates; the rewriting system
-    and the rank comparisons use the same span with their own column order
-    and without certificates.
+    The relation window names its generator families, so it can certify
+    membership on request; the rewriting system and the rank comparisons
+    use the same span with their own column order and no families.
     """
 
-    def __init__(self, caps: dict, families: tuple = (), key=symbol_key,
-                 certificates: bool = True):
+    def __init__(self, caps: dict, families: tuple = (), key=symbol_key):
         for f in families:
             if f not in FAMILIES:
                 raise ValueError(f"unknown family {f!r}")
         self.caps = dict(caps)
         self.families = tuple(families)
         self.key = key
-        self.certificates = certificates
         self.cells: dict[tuple, LinearBasis] = {}
         self.n_generators = 0
         self.provenance: dict[str, int] = {}
+        # filled by `certificate` requests
+        self._generators: dict | None = None   # grade -> {tag: generator}
+        self._cert_cells: dict = {}            # grade -> augmented basis
 
     @property
     def sectors(self) -> tuple:
@@ -257,19 +267,23 @@ class KernelBasis:
         grade = grades.pop()
         basis = self.cells.get(grade)
         if basis is None:
-            basis = LinearBasis(key=self.key, certificates=self.certificates)
+            basis = LinearBasis(key=self.key)
             self.cells[grade] = basis
-        return basis.add(vec, tag)
+        return basis.add(vec)
 
-    def extend(self, *families) -> "KernelBasis":
-        """Feed generator families, callables (n, cap) -> (vec, tag) pairs,
-        down the sector chain (sectors below 2 carry no relations)."""
+    def _generate(self, families):
+        """(vec, tag) pairs of generator families, callables (n, cap), down
+        the sector chain (sectors below 2 carry no relations)."""
         for n, cap in self.caps.items():
             if n < 2:
                 continue
             for family in families:
-                for vec, tag in family(n, cap):
-                    self.add(vec, tag)
+                yield from family(n, cap)
+
+    def extend(self, *families) -> "KernelBasis":
+        """Feed generator families down the sector chain."""
+        for vec, tag in self._generate(families):
+            self.add(vec, tag)
         return self
 
     def rank(self) -> int:
@@ -299,10 +313,9 @@ class KernelBasis:
                     out.append((eps, m))
         return sorted(out, key=symbol_key)
 
-    def reduce(self, x, want_cert: bool = False):
-        """Residual of a TensorPoly or symbol vector modulo the span, cell by
-        cell (and the certificate: {generator tag: coefficient})."""
-        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else x
+    def _split(self, vec: dict) -> dict:
+        """{grade: component} of a symbol vector; ValueError for support
+        outside the window."""
         by_cell: dict[tuple, dict] = {}
         for sym, c in vec.items():
             eps, m = sym
@@ -314,28 +327,68 @@ class KernelBasis:
             if -sum(m) > cap:
                 raise ValueError(f"support outside window: {sym}")
             by_cell.setdefault(symbol_grade(sym), {})[sym] = c
-        residual: dict = {}
-        cert: dict = {}
-        for grade, comp in by_cell.items():
-            basis = self.cells.get(grade)
-            if basis is None:
-                residual.update(comp)
-            elif want_cert:
-                res, cc = basis.reduce(comp, want_cert=True)
-                residual.update(res)
-                cert.update(cc)
-            else:
-                residual.update(basis.reduce(comp))
-        return (residual, cert) if want_cert else residual
+        return by_cell
 
-    def member(self, x, want_cert: bool = False):
-        """(is_member, residual[, certificate]): exact certificate on
-        success, nonzero residual on failure."""
-        if want_cert:
-            res, cert = self.reduce(x, want_cert=True)
-            return (not res, res, cert)
+    def reduce(self, x) -> dict:
+        """Residual of a TensorPoly or symbol vector modulo the span, cell by
+        cell."""
+        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else x
+        residual: dict = {}
+        for grade, comp in self._split(vec).items():
+            basis = self.cells.get(grade)
+            residual.update(comp if basis is None else basis.reduce(comp))
+        return residual
+
+    def member(self, x):
+        """(is_member, residual): the residual is nonzero on failure."""
         res = self.reduce(x)
         return (not res, res)
+
+    def certificate(self, x) -> dict | None:
+        """{generator tag: coefficient} with x = sum_g c_g * gen_g, returned
+        only after that sum is recomputed and compared with x exactly; None
+        when x is not in the span.
+
+        Each cell x touches gets, once, a basis of its generators (from the
+        families and caps, so a loaded kernel certifies too) augmented by
+        1*[tag], every symbol column ordered before every tag column:
+        reducing x there leaves a symbol residual, zero exactly for members,
+        and minus the certificate on the tag columns.
+        """
+        if not self.families:
+            raise ValueError("span has no generator families to certify from")
+        vec = tensor_to_vec(x) if isinstance(x, TensorPoly) else x
+        gens, cert = {}, {}
+        for grade, comp in self._split(vec).items():
+            basis, cell_gens = self._cert_cell(grade)
+            gens.update(cell_gens)
+            for col, c in basis.reduce(comp).items():
+                if not isinstance(col, str):
+                    return None
+                cert[col] = -c
+        total: dict = {}
+        for tag, c in cert.items():
+            for sym, v in gens[tag].items():
+                total[sym] = total.get(sym, qq_int(0)) + c * v
+        if ({s: v for s, v in total.items() if v}
+                != {s: v for s, v in vec.items() if v}):
+            raise ArithmeticError("certificate does not reproduce the vector")
+        return cert
+
+    def _cert_cell(self, grade: tuple) -> tuple:
+        """(augmented basis, {tag: generator}) of one cell."""
+        if self._generators is None:
+            self._generators = {}
+            for gen, tag in self._generate(
+                    [g for fam, g in GENERATORS.items() if fam in self.families]):
+                self._generators.setdefault(symbol_grade(next(iter(gen))), {})[tag] = gen
+        gens = self._generators.get(grade, {})
+        if grade not in self._cert_cells:
+            basis = self._cert_cells[grade] = LinearBasis(
+                key=lambda c: (1, c) if isinstance(c, str) else (0, self.key(c)))
+            for tag, gen in gens.items():
+                basis.add({**gen, tag: qq_int(1)})
+        return self._cert_cells[grade], gens
 
     # -- persistence --------------------------------------------------------
 
@@ -416,8 +469,7 @@ def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT")) -> Kern
     if window.arity != N:
         raise ValueError("window arity mismatch")
     kb = KernelBasis(sector_caps(N, window.depth, "FUS" in families), families)
-    generators = {"HEC": iter_hec_generators, "FUS": iter_fus_generators}
-    return kb.extend(*(gen for fam, gen in generators.items() if fam in families))
+    return kb.extend(*(gen for fam, gen in GENERATORS.items() if fam in families))
 
 
 # -- statement-level checks --------------------------------------------------
@@ -429,7 +481,7 @@ def prop9_check(N: int, window: Window) -> CheckReport:
     rep = CheckReport(f"commutation vs exchange spans N={N}")
     D = window.depth
     caps = sector_caps(N, D, fusion=False)
-    comm, exch, union = (KernelBasis(caps, certificates=False) for _ in range(3))
+    comm, exch, union = (KernelBasis(caps) for _ in range(3))
     with timer() as t:
         for eps in sign_strings(N):
             for j in range(1, N):
@@ -526,11 +578,12 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
     not) is complete at the truncation order."""
     if n_max is None:
         n_max = 2 * max_degree + 2 * N
+    fbar = {eps: fbar_series(eps, max_degree, n_max) for eps in sign_strings(N)}
     for eps_bar in sign_strings(N):
         for k in range(1, N):
             if eps_bar[k - 1] != eps_bar[k]:
                 continue
-            base = fbar_series(eps_bar, max_degree, n_max)
+            base = fbar[eps_bar]
             diff = base.map_coeffs(lambda p: lp_swap(p, k, k + 1)) - base
             for expo, vec in diff.extract_all().items():
                 if not vec:
@@ -543,8 +596,7 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
         for k in range(1, N):
             eps_pm = outer[: k - 1] + (PLUS, MINUS) + outer[k - 1:]
             eps_mp = outer[: k - 1] + (MINUS, PLUS) + outer[k - 1:]
-            a = fbar_series(eps_pm, max_degree, n_max)
-            b = fbar_series(eps_mp, max_degree, n_max)
+            a, b = fbar[eps_pm], fbar[eps_mp]
             sa = a.map_coeffs(lambda p: lp_swap(p, k, k + 1))
             sb = b.map_coeffs(lambda p: lp_swap(p, k, k + 1))
             nv = a.nvars

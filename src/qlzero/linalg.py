@@ -5,8 +5,10 @@ from hashable column indices to field elements).  Columns are ordered by a
 caller-supplied key, pivots are normalized to 1, and every stored row is
 reduced against every other, so `reduce` returns a canonical coset
 representative: the same object doubles as the membership oracle (residual
-zero plus a certificate) and as the linear rewriting engine (residual =
-normal form on the non-pivot columns).
+zero) and as the linear rewriting engine (residual = normal form on the
+non-pivot columns).  The basis tracks no combinations; a membership
+certificate comes from a basis over generators augmented by tag columns
+(`KernelBasis.certificate`).
 
 Works verbatim with Fraction entries.
 """
@@ -28,75 +30,40 @@ def _axpy(target: dict, c, row: dict) -> None:
 
 
 class LinearBasis:
-    def __init__(self, key: Callable[[Hashable], object] | None = None,
-                 certificates: bool = False):
+    def __init__(self, key: Callable[[Hashable], object] | None = None):
         self.key = key or (lambda c: c)
         self.pivots: dict = {}        # pivot column -> row dict
-        self.combos: dict = {}        # pivot column -> {gen_id: coeff}
-        self.certificates = certificates
-        self.n_seen = 0
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: dict, want_cert: bool = False):
-        """Canonical representative of vec modulo the span; optionally the
-        combination of generator ids that was subtracted."""
+    def reduce(self, vec: dict) -> dict:
+        """Canonical representative of vec modulo the span."""
         vec = dict(vec)
-        cert: dict = {}
-        certify = want_cert and self.certificates
         # Rows never contain other rows' pivot columns, so one pass over the
         # original support is enough.
         for col in sorted(vec, key=self.key):
             row = self.pivots.get(col)
-            if row is None or col not in vec:
-                continue
-            c = vec[col]
-            _axpy(vec, c, row)
-            if certify:
-                _axpy(cert, -c, self.combos[col])
-        return (vec, cert) if want_cert else vec
+            if row is not None and col in vec:
+                _axpy(vec, vec[col], row)
+        return vec
 
-    def add(self, vec: dict, gen_id=None) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when the rank grew."""
-        self.n_seen += 1
-        vec, cert = self.reduce(vec, want_cert=True)
+        vec = self.reduce(vec)
         if not vec:
             return False
         piv = min(vec, key=self.key)
         inv = vec[piv].inv() if hasattr(vec[piv], "inv") else 1 / vec[piv]
         row = {c: v * inv for c, v in vec.items()}
-        combo = {}
-        if self.certificates:
-            # row = inv * (gen - sum cert[g] * gen_g)
-            gid = gen_id if gen_id is not None else f"gen{self.n_seen}"
-            combo = {g: -(v * inv) for g, v in cert.items()}
-            combo[gid] = inv
         # eliminate the new pivot from existing rows
-        for p2, row2 in self.pivots.items():
+        for row2 in self.pivots.values():
             c = row2.get(piv)
-            if c is None:
-                continue
-            _axpy(row2, c, row)
-            if self.certificates:
-                _axpy(self.combos[p2], c, combo)
+            if c is not None:
+                _axpy(row2, c, row)
         self.pivots[piv] = row
-        if self.certificates:
-            self.combos[piv] = combo
         return True
-
-    def member(self, vec: dict, want_cert: bool = False):
-        """(is_member, residual[, certificate]).
-
-        The certificate expresses vec as sum_{g} cert[g] * generator_g when
-        membership holds (requires certificates=True at construction).
-        """
-        if want_cert and self.certificates:
-            res, cert = self.reduce(vec, want_cert=True)
-            return (not res, res, cert)
-        res = self.reduce(vec)
-        return (not res, res)
 
     def standard_columns(self, columns) -> list:
         """Columns of the ambient list that are not pivots (the canonical

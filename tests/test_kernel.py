@@ -4,6 +4,7 @@ from qlzero.kernel import (
     KernelBasis,
     hec_generator,
     iter_ab_relations,
+    iter_fus_generators,
     iter_hec_generators,
     kernel_build,
     prop8_check,
@@ -47,6 +48,15 @@ def test_nonmember_with_residual():
     assert not ok and res
 
 
+def combination(cert, generators):
+    """sum_g cert[g] * generators[g], recomputed here from scratch."""
+    acc = {}
+    for tag, c in cert.items():
+        for sym, v in generators[tag].items():
+            acc[sym] = acc.get(sym, qq_int(0)) + c * v
+    return {s: v for s, v in acc.items() if v}
+
+
 def test_member_linearity_and_certificates():
     kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
     g1 = hec_generator((PLUS, MINUS), (0, -1), 1)
@@ -55,11 +65,35 @@ def test_member_linearity_and_certificates():
     for s, c in g2.items():
         combo[s] = combo.get(s, qq_int(0)) + c * qpow(2)
     combo = {s: c for s, c in combo.items() if c}
-    ok, res, cert = kb.member(combo, want_cert=True)
-    assert ok and not res and cert
-    # the certificate reproduces the vector over the stored generators
-    # (validated internally by the reduction; spot-check its support tags)
-    assert all(isinstance(k, str) for k in cert)
+    ok, res = kb.member(combo)
+    assert ok and not res
+    cert = kb.certificate(combo)
+    assert cert
+    # the certificate reproduces the vector over the named generators
+    gens = {tag: vec for vec, tag in iter_hec_generators(2, 2)}
+    assert set(cert) <= set(gens)
+    assert combination(cert, gens) == combo
+
+
+def test_loaded_kernel_certifies_with_generator_tags():
+    kb = KernelBasis.load_text(kernel_build(2, Window(2, -3)).save_text())
+    x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
+    cert = kb.certificate(x)
+    assert cert and all(tag.startswith(("HEC.", "FUS.")) for tag in cert)
+    gens = {tag: vec for fam in (iter_hec_generators, iter_fus_generators)
+            for n, cap in kb.caps.items() if n >= 2 for vec, tag in fam(n, cap)}
+    assert combination(cert, gens) == tensor_to_vec(x)
+
+
+def test_certificate_non_member_and_spans_without_families():
+    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    assert kb.certificate(TensorPoly.monomial((PLUS, MINUS), (0, 0))) is None
+    assert kb.certificate({}) == {}
+    with pytest.raises(ValueError):
+        kb.certificate(TensorPoly.monomial((PLUS, MINUS), (1, -1)))
+    for span in (RewriteSystem(2, 2), KernelBasis(sector_caps(2, 2))):
+        with pytest.raises(ValueError):
+            span.certificate(TensorPoly.monomial((PLUS, PLUS), (0, 0)))
 
 
 def test_full_families_rank_below_ambient():
@@ -152,7 +186,7 @@ def test_kernel_and_rewriter_share_the_window():
 
 def test_ab_span_equals_exchange_span():
     def rank_cells(*families):
-        span = KernelBasis(sector_caps(2, 3, fusion=False), certificates=False)
+        span = KernelBasis(sector_caps(2, 3, fusion=False))
         return span.extend(*families).ranks()
 
     ab = rank_cells(iter_ab_relations)

@@ -1,27 +1,19 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from qlzero.linalg import LinearBasis
 from qlzero.scalars import qpow, qq_int
 
 
 def test_rank_and_membership_over_field():
-    lb = LinearBasis(certificates=True)
-    assert lb.add({"a": qq_int(1), "b": qpow(1)}, "g1")
-    assert lb.add({"b": qq_int(2)}, "g2")
-    assert not lb.add({"a": qq_int(3), "b": qpow(1) * qq_int(3)}, "g3")  # dependent
+    lb = LinearBasis()
+    assert lb.add({"a": qq_int(1), "b": qpow(1)})
+    assert lb.add({"b": qq_int(2)})
+    assert not lb.add({"a": qq_int(3), "b": qpow(1) * qq_int(3)})  # dependent
     assert lb.rank == 2
-    ok, res, cert = lb.member({"a": qpow(2), "b": qq_int(-1)}, want_cert=True)
-    assert ok and not res
-    # reconstruct: sum cert[g] * gen_g must equal the vector
-    gens = {"g1": {"a": qq_int(1), "b": qpow(1)},
-            "g2": {"b": qq_int(2)},
-            "g3": {"a": qq_int(3), "b": qpow(1) * qq_int(3)}}
-    acc = {}
-    for g, c in cert.items():
-        for col, v in gens[g].items():
-            acc[col] = acc.get(col, qq_int(0)) + c * v
-    acc = {k: v for k, v in acc.items() if v}
-    assert acc == {"a": qpow(2), "b": qq_int(-1)}
+    assert lb.reduce({"a": qpow(2), "b": qq_int(-1)}) == {}
+    assert lb.reduce({"c": qq_int(1)}) == {"c": qq_int(1)}
 
 
 def test_residual_is_canonical():
@@ -43,13 +35,53 @@ def test_works_with_fractions():
     lb = LinearBasis()
     lb.add({"x": Fraction(2), "y": Fraction(1, 3)})
     lb.add({"y": Fraction(5)})
-    ok, res = lb.member({"x": Fraction(4), "y": Fraction(7)})
-    assert ok and not res
-    ok, res = lb.member({"z": Fraction(1)})
-    assert not ok and res
+    assert lb.reduce({"x": Fraction(4), "y": Fraction(7)}) == {}
+    assert lb.reduce({"z": Fraction(1)}) == {"z": Fraction(1)}
 
 
 def test_custom_column_order_controls_pivots():
     lb = LinearBasis(key=lambda c: -ord(c))
     lb.add({"a": qq_int(1), "z": qq_int(1)})
     assert "z" in lb.pivots and "a" not in lb.pivots
+
+
+COLUMNS = "abcde"
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# sums of two q-powers too, so that pivots carry non-monomial denominators
+rfqs = st.builds(lambda c, k, d, l: qq_int(c) * qpow(k) + qq_int(d) * qpow(l),
+                 st.integers(-2, 2), st.integers(-2, 2),
+                 st.integers(-2, 2), st.integers(-2, 2))
+
+
+def vectors(entries):
+    return st.lists(st.dictionaries(st.sampled_from(COLUMNS), entries,
+                                    max_size=len(COLUMNS)).map(
+        lambda v: {c: x for c, x in v.items() if x}), max_size=7)
+
+
+def assert_fully_reduced(lb, added, one):
+    for piv, row in lb.pivots.items():
+        assert row[piv] == one and piv == min(row, key=lb.key)
+        for other in lb.pivots:
+            assert other == piv or other not in row, (piv, other, row)
+    # the basis spans every inserted vector
+    for vec in added:
+        assert lb.reduce(vec) == {}
+
+
+@given(vectors(rfqs))
+@settings(max_examples=60, deadline=None)
+def test_basis_stays_fully_reduced_over_qq(vecs):
+    lb = LinearBasis()
+    for v in vecs:
+        lb.add(v)
+    assert_fully_reduced(lb, vecs, qq_int(1))
+
+
+@given(vectors(fractions))
+@settings(max_examples=100, deadline=None)
+def test_basis_stays_fully_reduced_over_fractions(vecs):
+    lb = LinearBasis(key=lambda c: -ord(c))
+    for v in vecs:
+        lb.add(v)
+    assert_fully_reduced(lb, vecs, Fraction(1))

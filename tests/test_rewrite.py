@@ -4,7 +4,6 @@ from qlzero.rewrite import (
     NormalForm,
     RewriteSystem,
     disorder,
-    normal_form,
     rewriter_completeness_check,
     rewriter_soundness_check,
     zeta_modes,
@@ -45,16 +44,17 @@ def test_mixed_pair_rewrites_to_vacuum():
 
 
 def test_normal_form_convenience_and_idempotence():
+    # the system sized to the element: two slots, degree 1
+    rs = RewriteSystem(2, 1)
     x = TensorPoly.monomial((MINUS, PLUS), (0, -1))
-    nf = normal_form(x)
+    nf = rs.normal_form(x)
     assert isinstance(nf, NormalForm)
-    # idempotent through the module-level entry point as well
     back = {}
     for eps, n, c in nf.terms:
         N = len(eps)
         m = tuple((n[j] + (1 - eps[j]) // 2 - 2 * (N - 1 - j)) // 2 for j in range(N))
         back[(eps, m)] = c
-    assert normal_form(back).terms == nf.terms
+    assert rs.normal_form(back).terms == nf.terms
 
 
 def test_positive_mode_rejected():
