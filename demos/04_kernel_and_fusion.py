@@ -43,8 +43,7 @@ print("\n== fusion compatibility of the twisted generators ==")
 rep = rhof_check(2, Window(2, -3))
 for line in rep.lines():
     print(" ", line)
-rep = rhof_check(2, Window(2, -3), p=qpow(3), enforce_fusion_scale=False,
-                 expect_member=False)
+rep = rhof_check(2, Window(2, -3), p=qpow(3))
 for line in rep.lines():
     print(" ", line)
 print("the wrong scale fails membership, exactly as it must")

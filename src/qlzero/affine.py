@@ -81,14 +81,11 @@ def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1,
 # -- relation suites ---------------------------------------------------------
 
 
-def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None,
-                       sample: int | None = None) -> CheckReport:
-    """Exact affine Hecke relations on all window monomials (or a sample)."""
+def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> CheckReport:
+    """Exact affine Hecke relations on all window monomials."""
     rep = CheckReport(f"affine hecke suite N={N}")
     window = window or Window(N, -3)
     monos = [LaurentPoly.monomial(N, e) for e in window.exponents()]
-    if sample is not None:
-        monos = monos[::max(1, len(monos) // sample)]
 
     with timer() as t:
         bad = 0

@@ -174,13 +174,14 @@ def graded_character(d_max: int, n_max: int) -> dict:
     }
 
 
-def character_check(d_max: int, n_max: int, verify_sectors: int = 3,
-                    verify_degree: int = 4) -> CheckReport:
-    """Acceptance-level character comparison with engine-side verification
-    of the per-sector counts at desk scale."""
+def character_check() -> CheckReport:
+    """Acceptance-level character comparison: the graded table for degrees
+    <= 6 over sectors <= 12 against the oracle, with engine-side
+    verification of the per-sector counts for N <= 3 at degrees <= 4."""
+    d_max, n_max = 6, 12
     rep = CheckReport(f"characters d<={d_max}")
-    for N in range(1, verify_sectors + 1):
-        rep.extend(sector_model_check(N, verify_degree))
+    for N in (1, 2, 3):
+        rep.extend(sector_model_check(N, 4))
     with timer() as t:
         res = graded_character(d_max, n_max)
         pinned = (res["table"].get((0, 0), 0) + res["table"].get((0, 1), 0) == 2

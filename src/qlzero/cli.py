@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,12 @@ SUITES = ("hecke", "affine-hecke", "lemmas", "rhosg", "chevalley",
 P_CHOICES = {"q3": [qpow(3)], "q4": [qpow(4)], "q5": [qpow(5)],
              "generic-sample": [qpow(3), qpow(5)]}
 
+JOB_KEYS = {"suite", "n", "window", "p"}
+CONFIG_KEYS = {"suites", "out"}
+
+# dump --op: S<j>, G<j><k>, Y<j> (slots 1..9), Z, e0, f0 or t0
+DUMP_OP = re.compile(r"S([1-9])?|G([1-9])([1-9])|Y([1-9])|Z|e0|f0|t0")
+
 
 class ConfigError(Exception):
     pass
@@ -52,7 +59,7 @@ def parse_window(text: str, arity: int) -> Window:
     try:
         lo_s, hi_s = text.split("..")
         return Window(arity, int(lo_s), int(hi_s))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad window {text!r}: {exc}") from None
 
 
@@ -85,7 +92,10 @@ def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> Ke
 
 
 def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
-    n = int(cfg.get("n", 2))
+    try:
+        n = int(cfg.get("n", 2))
+    except (ValueError, TypeError):
+        raise ConfigError(f"bad slot count {cfg.get('n')!r}") from None
     window = parse_window(cfg.get("window", "-3..0"), n)
     p_name = cfg.get("p", "q4")
     if p_name not in P_CHOICES:
@@ -108,7 +118,7 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
         return rep
     if name == "chevalley":
         kb = cached_kernel(n, window.depth, ("HEC", "HWT"), cache)
-        return chevalley_check(n, window, kb, sample=cfg.get("sample"))
+        return chevalley_check(n, window, kb)
     if name == "prop8":
         return prop8_check(n, window)
     if name == "prop9":
@@ -118,14 +128,11 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
             raise ConfigError("fusion requires p=q^4")
         kb = cached_kernel(n, window.depth, ("HEC", "FUS", "HWT"), cache)
         rep = rhof_check(n, window, kb=kb)
-        if cfg.get("control", True) and n == 2:
-            rep.extend(rhof_check(2, window, p=qpow(3), enforce_fusion_scale=False,
-                                  expect_member=False))
+        if n == 2:
+            rep.extend(rhof_check(2, window, p=qpow(3), kb=kb))
         return rep
     if name == "characters":
-        return character_check(int(cfg.get("dmax", 6)), int(cfg.get("nmax", 12)),
-                               verify_sectors=int(cfg.get("verify_sectors", 3)),
-                               verify_degree=int(cfg.get("verify_degree", 4)))
+        return character_check()
     if name == "evalmod":
         return evaluation_module_suite(n)
     if name == "rewriter":
@@ -137,9 +144,24 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
     raise ConfigError(f"unknown suite {name!r}")
 
 
+def read_config(path: str) -> dict:
+    """The JSON config file: {"suites": [job, ...], "out": FILE}."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+    if (not isinstance(cfg, dict) or set(cfg) - CONFIG_KEYS
+            or not isinstance(cfg.get("suites", []), list)):
+        raise ConfigError(f"a config is an object with the keys {sorted(CONFIG_KEYS)}"
+                          " and a list of suite jobs")
+    return cfg
+
+
 def cmd_check(args) -> int:
     if args.config:
-        cfg_all = json.loads(Path(args.config).read_text())
+        cfg_all = read_config(args.config)
         jobs = cfg_all.get("suites", [])
         out = cfg_all.get("out", args.out)
     else:
@@ -149,6 +171,9 @@ def cmd_check(args) -> int:
                 for s in args.suite]
         out = args.out
     for job in jobs:
+        if not isinstance(job, dict) or set(job) - JOB_KEYS:
+            raise ConfigError(f"a job is an object with the keys {sorted(JOB_KEYS)}"
+                              f", got {job!r}")
         if job.get("suite") not in SUITES:
             raise ConfigError(f"unknown suite {job.get('suite')!r}")
         if job.get("suite") == "rhof" and job.get("p", "q4") != "q4":
@@ -205,41 +230,31 @@ def cmd_dump(args) -> int:
     n = args.n
     window = parse_window(args.window, n)
     name = args.op
-    p = P_CHOICES.get(args.p, [qpow(4)])[0]
-
-    def tensor_basis():
-        out = []
-        for m in cone_exponents(n, window.depth):
-            for eps in sign_strings(n):
-                out.append(TensorPoly.monomial(eps, m))
-        return out
-
+    p = P_CHOICES[args.p][0]
+    match = DUMP_OP.fullmatch(name)
+    if match is None:
+        raise ConfigError(f"unknown operator {name!r} (S<j>, G<j><k>, Y<j>, Z, e0, f0, t0)")
+    s_j, g_j, g_k, y_j = match.groups()
+    slots = ((int(s_j or 1), int(s_j or 1) + 1) if name[0] == "S"
+             else tuple(int(i) for i in (g_j, g_k, y_j) if i))
+    if max(slots, default=0) > n or len(set(slots)) < len(slots):
+        raise ConfigError(f"operator {name!r} needs distinct slots within 1..{n}")
+    ops = {"S": lambda x: S_apply(x, slots[0]),
+           "G": lambda f: G_poly(f, *slots),
+           "Y": lambda f: Y_poly(f, slots[0], p),
+           "Z": lambda f: Z_apply(f, p),
+           "e0": lambda x: e0_apply(x, p),
+           "f0": lambda x: f0_apply(x, p),
+           "t0": t0_apply}
+    fn = ops[name if name in ops else name[0]]
+    if name[0] in "GYZ":     # operators on bare polynomials
+        inputs = [LaurentPoly.monomial(n, m) for m in window.exponents()]
+    else:                    # operators on tensor windows
+        inputs = [TensorPoly.monomial(eps, m) for m in cone_exponents(n, window.depth)
+                  for eps in sign_strings(n)]
     print(f"# action of {name} on the window {window.lo}..{window.hi}, N={n}")
-    if name.startswith("S"):
-        j = int(name[1:] or 1)
-        for x in tensor_basis():
-            print(f"{x!r}  ->  {S_apply(x, j)!r}")
-    elif name.startswith("G"):
-        j = int(name[1:2]); k = int(name[2:3])
-        for m in window.exponents():
-            f = LaurentPoly.monomial(n, m)
-            print(f"{f!r}  ->  {G_poly(f, j, k)!r}")
-    elif name.startswith("Y"):
-        j = int(name[1:])
-        for m in window.exponents():
-            f = LaurentPoly.monomial(n, m)
-            print(f"{f!r}  ->  {Y_poly(f, j, p)!r}")
-    elif name == "Z":
-        for m in window.exponents():
-            f = LaurentPoly.monomial(n, m)
-            print(f"{f!r}  ->  {Z_apply(f, p)!r}")
-    elif name in ("e0", "f0", "t0"):
-        fn = {"e0": e0_apply, "f0": f0_apply, "t0": lambda x, p=None: t0_apply(x)}[name]
-        for x in tensor_basis():
-            y = fn(x, p) if name != "t0" else t0_apply(x)
-            print(f"{x!r}  ->  {y!r}")
-    else:
-        raise ConfigError(f"unknown operator {name!r}")
+    for x in inputs:
+        print(f"{x!r}  ->  {fn(x)!r}")
     return 0
 
 
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="S<j>, G<j><k>, Y<j>, Z, e0, f0, t0")
     d.add_argument("--n", type=int, default=2)
     d.add_argument("--window", default="-2..0")
-    d.add_argument("--p", default="q4")
+    d.add_argument("--p", default="q4", choices=sorted(P_CHOICES))
     d.set_defaults(fn=cmd_dump)
     return ap
 

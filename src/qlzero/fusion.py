@@ -47,10 +47,7 @@ def fuse(x: TensorPoly, j: int, prefactors: bool = True) -> TensorPoly:
 
 
 def rhof_check(N: int, window: Window, p: RatFuncQ = P_FUSION,
-               generators: tuple = ("e0", "f0"),
-               enforce_fusion_scale: bool = True,
-               kb: KernelBasis | None = None,
-               expect_member: bool = True) -> CheckReport:
+               kb: KernelBasis | None = None) -> CheckReport:
     """Fusion compatibility of the twisted generators at the last pair.
 
     For every source string, the specialized image of the generator applied
@@ -59,18 +56,16 @@ def rhof_check(N: int, window: Window, p: RatFuncQ = P_FUSION,
     (exchange + fusion families; the highest-weight family is structural in
     cone windows, so its toggle cannot change verdicts here).
 
-    With expect_member=False the report passes exactly when at least one
-    coefficient fails membership (negative controls at the wrong scale).
+    At p = q^4 each generator gives the check rhof.{gen}.N{N}.  At any other
+    p it gives the negative control rhof.{gen}.control.N{N}, which passes
+    exactly when at least one coefficient fails membership.
     """
-    if enforce_fusion_scale and p != P_FUSION:
-        raise ValueError("fusion requires p=q^4")
     rep = CheckReport(f"fusion compatibility N={N}, p={p!r}")
     D = window.depth
     j = N - 1
     if kb is None:
         kb = kernel_build(N, Window(N, -D), families=("HEC", "FUS", "HWT"))
-    for gen in generators:
-        series = series_e0 if gen == "e0" else series_f0
+    for gen, series in (("e0", series_e0), ("f0", series_f0)):
         with timer() as t:
             n_checked = 0
             n_bad = 0
@@ -85,7 +80,7 @@ def rhof_check(N: int, window: Window, p: RatFuncQ = P_FUSION,
                     n_checked += 1
                     if not good:
                         n_bad += 1
-        if expect_member:
+        if p == P_FUSION:
             check(rep, f"rhof.{gen}.N{N}",
                   "specialization of the twisted generator matches the fused window",
                   n_bad == 0, f"{n_checked} coefficients, p={p!r}", n_bad, t.seconds)

@@ -17,9 +17,18 @@ The suite rhosg_check verifies the exchange identity that makes the twist
 consistent: moving E0 through (S - G) reproduces (S - G) times the
 partner-swapped combination, exactly, monomial by monomial.  This single
 identity pins every order and sign convention above.
+
+The defining relations of the level-0 action are written once, in
+`level0_relations`, for any pair of maps (E0, F0): chevalley_check judges
+the residuals of the twisted generators modulo the kernel, and
+evaluation_module_suite requires those of the scalar twists to vanish.
 """
 
 from __future__ import annotations
+
+import time
+from collections import Counter
+from typing import Callable
 
 from .affine import Y_poly
 from .hecke import G_poly, S_apply
@@ -206,8 +215,56 @@ def _pair(x: TensorPoly, f: LaurentPoly) -> TensorPoly:
     return TensorPoly(x.arity, out, nvars=f.arity)
 
 
-def chevalley_check(N: int, window: Window, kernel, p: RatFuncQ = P_DEFAULT,
-                    sample: int | None = None) -> CheckReport:
+_THREE = qpow(2) + QQ_ONE + qpow(-2)          # [3] in the Serre relation
+_QDIFF_INV = (qpow(1) - qpow(-1)).inv()
+
+
+def level0_relations(x: TensorPoly, e0: Callable, f0: Callable):
+    """Residuals (lhs - rhs) of the defining relations of U_q(sl_2^) at
+    level zero on the window element x, for the pair of maps (e0, f0).
+
+    Yields (block, residuals) in the order
+      diagonal: T0 E0 T0^{-1} = q^2 E0, T0 F0 T0^{-1} = q^{-2} F0,
+                t1 E0 t1^{-1} = q^{-2} E0, t0 t1 = 1 (level zero);
+      mixed:    [E0, f-tensor] = 0, [F0, e-tensor] = 0;
+      bracket:  [E0, F0] = (T0 - T0^{-1})/(q - q^{-1});
+      serre:    E0^3 e1 - [3] E0^2 e1 E0 + [3] E0 e1 E0^2 - e1 E0^3 = 0,
+                with [3] = q^2 + 1 + q^{-2}, at N <= 2 only.
+    E0 x and F0 x are computed once and shared by every block.
+    """
+    ex, fx = e0(x), f0(x)
+    yield "diagonal", [t0_apply(e0(t0_apply(x, -1))) - ex.scale(qpow(2)),
+                       t0_apply(f0(t0_apply(x, -1))) - fx.scale(qpow(-2)),
+                       uq_apply("t1", e0(uq_apply("t1inv", x))) - ex.scale(qpow(-2)),
+                       t0_apply(uq_apply("t1", x)) - x]
+    yield "mixed", [e0(uq_apply("f1", x)) - uq_apply("f1", ex),
+                    f0(uq_apply("e1", x)) - uq_apply("e1", fx)]
+    yield "bracket", [e0(fx) - f0(ex)
+                      - (t0_apply(x) - t0_apply(x, -1)).scale(_QDIFF_INV)]
+    if x.arity <= 2:
+        def e1(y):
+            return uq_apply("e1", y)
+
+        eex = e0(ex)
+        yield "serre", [e0(e0(e0(e1(x)))) - e0(e0(e1(ex))).scale(_THREE)
+                        + e0(e1(eex)).scale(_THREE) - e1(e0(eex))]
+
+
+def _tally(basis: list, e0: Callable, f0: Callable, holds: Callable) -> tuple:
+    """Failed residuals and seconds per block of `level0_relations` over the
+    basis; holds(block, residual) judges one residual."""
+    bad, secs = Counter(), Counter()
+    for x in basis:
+        start = time.perf_counter()
+        for block, residuals in level0_relations(x, e0, f0):
+            bad[block] += sum(1 for r in residuals if not holds(block, r))
+            now = time.perf_counter()
+            secs[block] += now - start
+            start = now
+    return bad, secs
+
+
+def chevalley_check(N: int, window: Window, kernel, p: RatFuncQ = P_DEFAULT) -> CheckReport:
     """Defining relations of the twisted action, on the quotient.
 
     Diagonal conjugations hold exactly on the window; the bracket relations
@@ -218,135 +275,54 @@ def chevalley_check(N: int, window: Window, kernel, p: RatFuncQ = P_DEFAULT,
     if kernel.max_degree < window.depth:
         raise ValueError("window underflow: kernel shallower than the window")
     rep = CheckReport(f"quotient relations N={N}")
-    qdiff_inv = (qpow(1) - qpow(-1)).inv()
     basis = []
     for d in range(window.depth + 1):
         for m in cone_cell(N, -d):
             for e in sign_strings(N):
                 basis.append(TensorPoly.monomial(e, m))
-    if sample is not None and len(basis) > sample:
-        basis = basis[:: max(1, len(basis) // sample)]
 
-    # E0 x, F0 x and, for the Serre relation, E0 E0 x are computed once per
-    # window element and reused by every block
-    with timer() as t:
-        bad = 0
-        images = []
-        for x in basis:
-            ex, fx = e0_apply(x, p), f0_apply(x, p)
-            images.append((x, ex, fx))
-            if t0_apply(e0_apply(t0_apply(x, -1), p)) - ex.scale(qpow(2)):
-                bad += 1
-            if t0_apply(f0_apply(t0_apply(x, -1), p)) - fx.scale(qpow(-2)):
-                bad += 1
-            if uq_apply("t1", e0_apply(uq_apply("t1inv", x), p)) - ex.scale(qpow(-2)):
-                bad += 1
-            if t0_apply(uq_apply("t1", x)) - x:
-                bad += 1
-    check(rep, f"chevalley.diagonal.N{N}",
-          "t-conjugations exact; t0 t1 = 1 (level zero)", bad == 0,
-          f"{len(basis)} window elements", bad, t.seconds)
+    def holds(block, r):
+        return not r or (block != "diagonal" and kernel.member(r)[0])
 
-    with timer() as t:
-        bad = 0
-        for x, ex, fx in images:
-            r1 = e0_apply(uq_apply("f1", x), p) - uq_apply("f1", ex)
-            if r1 and not kernel.member(r1)[0]:
-                bad += 1
-            r2 = f0_apply(uq_apply("e1", x), p) - uq_apply("e1", fx)
-            if r2 and not kernel.member(r2)[0]:
-                bad += 1
-    check(rep, f"chevalley.mixed.N{N}",
-          "[E0, f-tensor] = 0 and [F0, e-tensor] = 0 on the quotient",
-          bad == 0, "", bad, t.seconds)
-
-    with timer() as t:
-        bad = 0
-        for x, ex, fx in images:
-            com = e0_apply(fx, p) - f0_apply(ex, p)
-            want = (t0_apply(x) - t0_apply(x, -1)).scale(qdiff_inv)
-            r = com - want
-            if r and not kernel.member(r)[0]:
-                bad += 1
-    check(rep, f"chevalley.bracket.N{N}",
-          "[E0, F0] = (T0 - T0^{-1})/(q - q^{-1}) on the quotient",
-          bad == 0, "", bad, t.seconds)
-
-    if N <= 2:
-        with timer() as t:
-            bad = 0
-            three = qpow(2) + QQ_ONE + qpow(-2)
-
-            def e1t(y):
-                return uq_apply("e1", y)
-
-            for x, ex, _fx in images:
-                eex = e0_apply(ex, p)
-                acc = (e0_apply(e0_apply(e0_apply(e1t(x), p), p), p)
-                       - e0_apply(e0_apply(e1t(ex), p), p).scale(three)
-                       + e0_apply(e1t(eex), p).scale(three)
-                       - e1t(e0_apply(eex, p)))
-                if acc and not kernel.member(acc)[0]:
-                    bad += 1
-        check(rep, f"chevalley.serre.N{N}",
-              "degree-4 relation on the quotient (two-slot spot check)",
-              bad == 0, "", bad, t.seconds)
-    else:
-        rep.add(CheckResult(f"chevalley.serre.N{N}",
-                            "degree-4 relation on the quotient", "skipped",
-                            "checked at two slots only; see report header"))
+    bad, secs = _tally(basis, lambda y: e0_apply(y, p), lambda y: f0_apply(y, p), holds)
+    for block, relation, detail in (
+            ("diagonal", "t-conjugations exact; t0 t1 = 1 (level zero)",
+             f"{len(basis)} window elements"),
+            ("mixed", "[E0, f-tensor] = 0 and [F0, e-tensor] = 0 on the quotient", ""),
+            ("bracket", "[E0, F0] = (T0 - T0^{-1})/(q - q^{-1}) on the quotient", ""),
+            ("serre", "degree-4 relation on the quotient (two-slot spot check)", "")):
+        if block == "serre" and N > 2:
+            rep.add(CheckResult(f"chevalley.serre.N{N}",
+                                "degree-4 relation on the quotient", "skipped",
+                                "checked at two slots only; see report header"))
+        else:
+            check(rep, f"chevalley.{block}.N{N}", relation, bad[block] == 0, detail,
+                  bad[block], secs[block])
     return rep
 
 
-def evaluation_module_suite(N: int, scalars: list[RatFuncQ] | None = None) -> CheckReport:
+def evaluation_module_suite(N: int) -> CheckReport:
     """Defining relations of the quantum loop algebra on the finite module
-    with scalar twists (the classical picture the operator twist deforms)."""
+    with scalar twists q^{2j-1} at slot j (the classical picture the
+    operator twist deforms)."""
     rep = CheckReport(f"evaluation module N={N}")
-    if scalars is None:
-        scalars = [qpow(2 * j + 1) for j in range(N)]
     one = LaurentPoly.one(0)
     basis = [TensorPoly.basis(e, one) for e in sign_strings(N)]
 
-    def ev_e0(x):
-        out = TensorPoly.zero(N, 0)
-        for j in range(1, N + 1):
-            out += f_op(x, j).scale(scalars[j - 1])
-        return out
+    def twisted(op, sign):
+        def apply(x):
+            out = TensorPoly.zero(N, 0)
+            for j in range(1, N + 1):
+                out += op(x, j).scale(qpow(sign * (2 * j - 1)))
+            return out
+        return apply
 
-    def ev_f0(x):
-        out = TensorPoly.zero(N, 0)
-        for j in range(1, N + 1):
-            out += e_op(x, j).scale(scalars[j - 1].inv())
-        return out
-
-    qdiff_inv = (qpow(1) - qpow(-1)).inv()
-
-    with timer() as t:
-        ok = True
-        for x in basis:
-            ok &= not (t0_apply(uq_apply("t1", x)) - x)                       # level 0
-            ok &= not (t0_apply(ev_e0(t0_apply(x, -1))) - ev_e0(x).scale(qpow(2)))
-            ok &= not (t0_apply(ev_f0(t0_apply(x, -1))) - ev_f0(x).scale(qpow(-2)))
-            ok &= not (uq_apply("t1", ev_e0(uq_apply("t1inv", x))) - ev_e0(x).scale(qpow(-2)))
-            com = ev_e0(ev_f0(x)) - ev_f0(ev_e0(x))
-            want = (t0_apply(x) - t0_apply(x, -1)).scale(qdiff_inv)
-            ok &= not (com - want)
-            ok &= not (ev_e0(uq_apply("f1", x)) - uq_apply("f1", ev_e0(x)))   # [e0, f1] = 0
-            ok &= not (ev_f0(uq_apply("e1", x)) - uq_apply("e1", ev_f0(x)))
+    bad, secs = _tally(basis, twisted(f_op, 1), twisted(e_op, -1), lambda _block, r: not r)
+    ok = bad["diagonal"] + bad["mixed"] + bad["bracket"] == 0
     check(rep, f"evalmod.chevalley.N{N}",
           "level-0 Chevalley relations with scalar twists", ok, "", 0 if ok else 1,
-          t.seconds)
-
+          secs["diagonal"] + secs["mixed"] + secs["bracket"])
     if N <= 2:
-        with timer() as t:
-            ok = True
-            three = qpow(2) + QQ_ONE + qpow(-2)
-            for x in basis:
-                acc = (ev_e0(ev_e0(ev_e0(uq_apply("e1", x))))
-                       - ev_e0(ev_e0(uq_apply("e1", ev_e0(x)))).scale(three)
-                       + ev_e0(uq_apply("e1", ev_e0(ev_e0(x)))).scale(three)
-                       - uq_apply("e1", ev_e0(ev_e0(ev_e0(x)))))
-                ok &= not acc
-        check(rep, f"evalmod.serre.N{N}", "degree-4 Serre relation", ok,
-              "spot check", 0 if ok else 1, t.seconds)
+        check(rep, f"evalmod.serre.N{N}", "degree-4 Serre relation", bad["serre"] == 0,
+              "spot check", 0 if bad["serre"] == 0 else 1, secs["serre"])
     return rep

@@ -1,12 +1,8 @@
 """Acceptance gate: one check per criterion, at the stated sizes, with a
-printed pass/fail line each.  Everything is exact (zero tolerance); the
-only skipped piece is the optional slow fusion run at four slots, enabled
-with QLZERO_ACCEPT_N4=1.
+printed pass/fail line each.  Everything is exact (zero tolerance) and
+nothing is sampled or skipped: every window monomial or element is
+checked, and fusion compatibility runs at two, three and four slots.
 """
-
-import os
-
-import pytest
 
 from qlzero.affine import affine_hecke_suite, lemma_suite
 from qlzero.characters import character_check
@@ -20,9 +16,6 @@ from qlzero.report import CheckReport, check, timer
 from qlzero.scalars import qpow
 from qlzero.windows import Window
 
-RUN_N4 = os.environ.get("QLZERO_ACCEPT_N4") == "1"
-
-
 def _finish(tag: str, rep: CheckReport):
     status = "PASS" if rep.ok else "FAIL"
     print(f"\nACCEPTANCE {tag}: {status} ({rep.summary()})")
@@ -34,7 +27,7 @@ def _finish(tag: str, rep: CheckReport):
 def test_criterion_01_hecke_suite():
     rep = CheckReport("criterion 1: Hecke layer")
     for n in (2, 3, 4):
-        rep.extend(hecke_suite(n, Window(n, -4 if n < 4 else -4)))
+        rep.extend(hecke_suite(n, Window(n, -4)))
     for n in (5, 6):
         rep.extend(hecke_suite(n, Window(n, -1)))
     rep.extend(lemma_suite())
@@ -44,10 +37,8 @@ def test_criterion_01_hecke_suite():
 def test_criterion_02_affine_hecke_suite():
     rep = CheckReport("criterion 2: affine Hecke layer")
     for p in (qpow(3), qpow(4), qpow(5)):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             rep.extend(affine_hecke_suite(n, p, Window(n, -4)))
-        rep.extend(affine_hecke_suite(4, p, Window(4, -4),
-                                      sample=200 if p != qpow(4) else None))
     _finish("2 (commuting family relations at three scales)", rep)
 
 
@@ -76,12 +67,9 @@ def test_criterion_05_span_equality():
 
 def test_criterion_06_fusion_compatibility():
     rep = CheckReport("criterion 6: fusion compatibility")
-    rep.extend(rhof_check(2, Window(2, -4)))
-    rep.extend(rhof_check(3, Window(3, -4)))
-    rep.extend(rhof_check(2, Window(2, -4), p=qpow(3),
-                          enforce_fusion_scale=False, expect_member=False))
-    if RUN_N4:
-        rep.extend(rhof_check(4, Window(4, -4)))
+    for n in (2, 3, 4):
+        rep.extend(rhof_check(n, Window(n, -4)))
+    rep.extend(rhof_check(2, Window(2, -4), p=qpow(3)))
     _finish("6 (fusion holds at q^4, fails at q^3)", rep)
 
 
@@ -110,12 +98,12 @@ def test_criterion_07_quotient_relations():
     rep.extend(chevalley_check(2, Window(2, -4), kb2))
     kb3 = kernel_build(3, Window(3, -3), families=("HEC", "HWT"))
     _well_defined(rep, 3, 3, kb3)
-    rep.extend(chevalley_check(3, Window(3, -3), kb3, sample=30))
+    rep.extend(chevalley_check(3, Window(3, -3), kb3))
     _finish("7 (defining relations on the quotient)", rep)
 
 
 def test_criterion_08_characters():
-    rep = character_check(6, 12, verify_sectors=3, verify_degree=4)
+    rep = character_check()
     _finish("8 (graded dimensions vs level-1 oracle, degrees <= 6)", rep)
 
 
@@ -131,12 +119,12 @@ def test_criterion_09_rewriter():
 
 
 def test_criterion_10_locality_ledger():
-    ok = LEDGER.ok
+    # the ledger is process-wide: run a fusion check so that the series
+    # generators are observed even when this test runs alone
+    assert rhof_check(2, Window(2, -2)).ok
+    observed = {"series_e0", "series_f0"} <= set(LEDGER.observed)
+    ok = observed and LEDGER.ok
     print(f"\nACCEPTANCE 10 (locality margins): {'PASS' if ok else 'FAIL'}"
           f" ({LEDGER.summary()})")
-    assert ok, LEDGER.violations
-
-
-def test_optional_n4_notice():
-    if not RUN_N4:
-        pytest.skip("four-slot fusion run disabled (set QLZERO_ACCEPT_N4=1)")
+    assert observed, LEDGER.observed
+    assert LEDGER.ok, LEDGER.violations

@@ -71,5 +71,5 @@ def test_truncation_detected():
 
 
 def test_character_check_report():
-    rep = character_check(4, 10, verify_sectors=2, verify_degree=3)
+    rep = character_check()
     assert rep.ok, rep.lines()

@@ -28,11 +28,25 @@ def test_empty_config_suite_list_passes(tmp_path):
     assert rc == 0
 
 
-def test_unknown_suite_rejected():
+def test_unknown_suite_rejected(tmp_path):
     rc, _out, err = run("check", "--suite", "lemmas", "--n", "2")
     assert rc == 0
-    rc, _out, err = run("check", "--config", "/nonexistent.json")
-    assert rc != 0
+    rc, _out, err = run("check", "--suite", "nosuch")
+    assert rc == 2 and "nosuch" in err
+    configs = {
+        "missing.json": None,
+        "malformed.json": '{"suites": [{"suite": "lemmas"}',
+        "unknown.json": json.dumps({"suites": [{"suite": "nosuch"}]}),
+        "misspelled.json": json.dumps({"suites": [{"suite": "lemmas", "sampel": 3}]}),
+        "toplevel.json": json.dumps({"suits": [{"suite": "lemmas"}]}),
+    }
+    for name, text in configs.items():
+        cfg = tmp_path / name
+        if text is not None:
+            cfg.write_text(text)
+        rc, _out, err = run("check", "--config", str(cfg))
+        assert rc == 2, (name, err)
+        assert "configuration error" in err and "Traceback" not in err, (name, err)
 
 
 def test_rhof_scale_guard_exit_two():
@@ -108,7 +122,18 @@ def test_chars_command():
 
 
 def test_dump_command():
-    rc, out, _ = run("dump", "--op", "G12", "--n", "2", "--window=-1..0")
-    assert rc == 0 and "->" in out
+    for op in ("S", "S1", "G12", "G21", "Y2", "Z", "e0", "f0", "t0"):
+        rc, out, err = run("dump", "--op", op, "--n", "2", "--window=-1..0")
+        assert rc == 0 and "->" in out, (op, err)
     rc, _out, err = run("dump", "--op", "bogus", "--n", "2")
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("--op", "Y"), ("--op", "G"), ("--op", "G1"), ("--op", "G11"),
+    ("--op", "Y9", "--n", "2"), ("--op", "S2", "--n", "2"),
+    ("--op", "G13", "--n", "2"), ("--op", "Y1", "--p", "q7"),
+])
+def test_dump_bad_input_exit_two(args):
+    rc, _out, err = run("dump", *args)
+    assert rc == 2 and "Traceback" not in err, err

@@ -1,5 +1,3 @@
-import pytest
-
 from qlzero.fusion import (
     e0_forms_check,
     fuse,
@@ -47,11 +45,8 @@ def test_fuse_attaches_prefactors_at_three_slots():
 def test_rhof_small_and_controls():
     rep = rhof_check(2, Window(2, -3))
     assert rep.ok, rep.lines()
-    rep = rhof_check(2, Window(2, -3), p=qpow(3), enforce_fusion_scale=False,
-                     expect_member=False)
+    rep = rhof_check(2, Window(2, -3), p=qpow(3))
     assert rep.ok, rep.lines()
-    with pytest.raises(ValueError):
-        rhof_check(2, Window(2, -3), p=qpow(3))
 
 
 def test_rhof_triplet_channel_kills_both_sides():
