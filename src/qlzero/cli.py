@@ -24,8 +24,8 @@ from .affine import affine_hecke_suite, lemma_suite
 from .characters import character_check, graded_character
 from .fusion import e0_forms_check, rhof_check
 from .hecke import G_poly, S_apply, hecke_suite
-from .kernel import (KernelBasis, kernel_build, prop8_check, prop9_check,
-                     sector_caps)
+from .kernel import (FAMILIES, KernelBasis, kernel_build, prop8_check,
+                     prop9_check, sector_caps)
 from .laurent import LaurentPoly
 from .level0 import (chevalley_check, e0_apply, evaluation_module_suite,
                      f0_apply, rhosg_check, t0_apply)
@@ -43,6 +43,9 @@ SUITES = ("hecke", "affine-hecke", "lemmas", "rhosg", "chevalley",
 
 P_CHOICES = {"q3": [qpow(3)], "q4": [qpow(4)], "q5": [qpow(5)],
              "generic-sample": [qpow(3), qpow(5)]}
+
+# suites that act on slot pairs, so need at least two slots
+PAIR_SUITES = {"hecke", "rhosg", "prop8", "prop9", "rhof", "rewriter"}
 
 JOB_KEYS = {"suite", "n", "window", "p"}
 CONFIG_KEYS = {"suites", "out"}
@@ -75,7 +78,7 @@ def cache_dir(args) -> Path | None:
 def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> KernelBasis:
     if cache is None:
         return kernel_build(N, Window(N, -depth), families=families)
-    key = f"N{N}-D{depth}-" + "".join(f[0] for f in sorted(families))
+    key = f"N{N}-D{depth}-" + "-".join(sorted(families))
     path = cache / f"kernel-{key}.txt"
     if path.exists():
         # a file of another format, or for another window, is rebuilt
@@ -96,6 +99,9 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
         n = int(cfg.get("n", 2))
     except (ValueError, TypeError):
         raise ConfigError(f"bad slot count {cfg.get('n')!r}") from None
+    need = 2 if name in PAIR_SUITES else 1
+    if n < need:
+        raise ConfigError(f"suite {name!r} needs at least {need} slots, got n={n}")
     window = parse_window(cfg.get("window", "-3..0"), n)
     p_name = cfg.get("p", "q4")
     if p_name not in P_CHOICES:
@@ -196,12 +202,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    cache = cache_dir(args)
     families = tuple(args.families.split(","))
+    if not set(families) <= set(FAMILIES) or len(set(families)) < len(families):
+        raise ConfigError(f"--families takes distinct names from {','.join(FAMILIES)}, "
+                          f"got {args.families!r}")
+    if args.n < 1:
+        raise ConfigError(f"a kernel needs at least one slot, got n={args.n}")
     window = parse_window(args.window, args.n)
     if window.hi != 0:
         raise ConfigError(f"kernel windows end at mode 0, got {args.window!r}")
-    kb = cached_kernel(args.n, window.depth, families, cache)
+    kb = cached_kernel(args.n, window.depth, families, cache_dir(args))
     print(f"sectors {kb.sectors} degree {kb.max_degree} families {kb.families}")
     print(f"generators {kb.n_generators} rank {kb.rank()} "
           f"ambient {kb.ambient_dimension()}")

@@ -19,6 +19,7 @@ series here: R(z_k/z_j) is handled through its cross-multiplied numerator
 from __future__ import annotations
 
 from .laurent import LaurentPoly, lp_divided_difference, lp_specialize
+from .linalg import accumulate
 from .report import CheckReport, check, timer
 from .scalars import QQ_ONE, qpow, qq_int
 from .tensor import (MINUS, PLUS, TensorPoly, e_op, f_op, sign_strings,
@@ -38,17 +39,9 @@ S_PAIR = {
     (MINUS, PLUS): [((PLUS, MINUS), NEG_ONE)],
 }
 
-def _build_s_inv():
-    # S^{-1} = S - (q - q^{-1})
-    out = {}
-    for key, imgs in S_PAIR.items():
-        d = {im: c for im, c in imgs}
-        d[key] = d.get(key, qq_int(0)) - QDIFF
-        out[key] = [(im, c) for im, c in d.items() if c]
-    return out
-
-
-S_INV_PAIR = _build_s_inv()
+# S^{-1} = S - (q - q^{-1})
+S_INV_PAIR = {key: list(accumulate(dict(imgs), ((key, -QDIFF),)).items())
+              for key, imgs in S_PAIR.items()}
 
 
 def apply_pair(x: TensorPoly, j: int, k: int, table: dict) -> TensorPoly:
@@ -96,14 +89,7 @@ def G_poly(f: LaurentPoly, j: int, k: int, exponent: int = 1) -> LaurentPoly:
     """G_{j,k}^{+-1} on a bare Laurent polynomial (monomial images cached)."""
     out: dict = {}
     for expo, c in f.terms.items():
-        for e2, c2 in _g_mono(f.arity, expo, j, k, exponent).terms.items():
-            s = out.get(e2)
-            v = c * c2
-            s = v if s is None else s + v
-            if s:
-                out[e2] = s
-            elif e2 in out:
-                del out[e2]
+        accumulate(out, _g_mono(f.arity, expo, j, k, exponent).terms.items(), c)
     return LaurentPoly(f.arity, out)
 
 

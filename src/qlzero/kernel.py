@@ -28,7 +28,7 @@ import json
 
 from .hecke import G_poly, R_numerator_op, S_PAIR
 from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
-from .linalg import LinearBasis
+from .linalg import LinearBasis, accumulate
 from .report import CheckReport, check, timer
 from .scalars import RatFuncQ, qpow, qq_int, RatFuncQ as _RF
 from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
@@ -70,8 +70,8 @@ def tensor_to_vec(x: TensorPoly) -> dict:
 
 def vec_to_tensor(vec: dict, arity: int, nvars: int | None = None) -> TensorPoly:
     out = TensorPoly.zero(arity, nvars)
-    for (eps, m), c in vec.items():
-        out.accumulate(eps, LaurentPoly.monomial(len(m), m, c))
+    accumulate(out.terms, ((eps, LaurentPoly.monomial(len(m), m, c))
+                           for (eps, m), c in vec.items()))
     return out
 
 
@@ -98,17 +98,10 @@ def g_row_coeffs(N: int, mu: tuple, j: int) -> dict:
 
 def hec_generator(eps: tuple, mu: tuple, j: int) -> dict:
     """Exchange-family generator at source eps, cone target mode mu, pair j."""
-    N = len(eps)
-    vec: dict = {}
-    for (a, b), c in S_PAIR[(eps[j - 1], eps[j])]:
-        t = list(eps)
-        t[j - 1], t[j] = a, b
-        sym = (tuple(t), mu)
-        vec[sym] = vec.get(sym, qq_int(0)) + c
-    for m, c in g_row_coeffs(N, mu, j).items():
-        sym = (eps, m)
-        vec[sym] = vec.get(sym, qq_int(0)) - c
-    return {s: c for s, c in vec.items() if c}
+    vec = accumulate({}, (((eps[:j - 1] + ab + eps[j + 1:], mu), c)
+                          for ab, c in S_PAIR[(eps[j - 1], eps[j])]))
+    g_row = g_row_coeffs(len(eps), mu, j)
+    return accumulate(vec, (((eps, m), -c) for m, c in g_row.items()))
 
 
 def iter_hec_generators(N: int, max_degree: int):
@@ -368,10 +361,8 @@ class KernelBasis:
                 cert[col] = -c
         total: dict = {}
         for tag, c in cert.items():
-            for sym, v in gens[tag].items():
-                total[sym] = total.get(sym, qq_int(0)) + c * v
-        if ({s: v for s, v in total.items() if v}
-                != {s: v for s, v in vec.items() if v}):
+            accumulate(total, gens[tag].items(), c)
+        if total != {s: v for s, v in vec.items() if v}:
             raise ArithmeticError("certificate does not reproduce the vector")
         return cert
 

@@ -12,8 +12,10 @@ composed.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterator
 
+from .linalg import accumulate
 from .scalars import QQ_ONE, QQ_ZERO, RatFuncQ, is_q_monomial, qq_int
 
 
@@ -70,18 +72,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._chk(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(self.arity, out)
+        return LaurentPoly(self.arity, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
@@ -95,19 +86,8 @@ class LaurentPoly:
         self._chk(other)
         out: dict[tuple, RatFuncQ] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    if c:
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+            accumulate(out, ((tuple(map(add, e1, e2)), c2)
+                             for e2, c2 in other.terms.items()), c1)
         return LaurentPoly(self.arity, out)
 
     def scale_coeffs(self, c: RatFuncQ) -> "LaurentPoly":
@@ -170,18 +150,6 @@ def lp_divided_difference(f: LaurentPoly, j: int, k: int) -> LaurentPoly:
     _check_pair(f, j, k)
     a_i, b_i = j - 1, k - 1
     out: dict[tuple, RatFuncQ] = {}
-
-    def bump(e: tuple, c: RatFuncQ):
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-
     for e, c in f.terms.items():
         a, b = e[a_i], e[b_i]
         if a == b:
@@ -198,7 +166,7 @@ def lp_divided_difference(f: LaurentPoly, j: int, k: int) -> LaurentPoly:
         for i in range(hi - lo):
             t[a_i] = lo + i
             t[b_i] = hi - 1 - i
-            bump(tuple(t), cc)
+            accumulate(out, ((tuple(t), cc),))
     return LaurentPoly(f.arity, out)
 
 
@@ -247,21 +215,10 @@ def lp_specialize(f: LaurentPoly, j: int, k: int, c: RatFuncQ) -> LaurentPoly:
     a_i, b_i = j - 1, k - 1
     for e, s in f.terms.items():
         t = e[a_i]
-        coeff = s * _rfq_pow(c, t)
         ee = list(e)
         ee[b_i] += t
         del ee[a_i]
-        key = tuple(ee)
-        prev = out.get(key)
-        if prev is None:
-            if coeff:
-                out[key] = coeff
-        else:
-            prev = prev + coeff
-            if prev:
-                out[key] = prev
-            else:
-                del out[key]
+        accumulate(out, ((tuple(ee), s * _rfq_pow(c, t)),))
     return LaurentPoly(f.arity - 1, out)
 
 

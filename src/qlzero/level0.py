@@ -33,6 +33,7 @@ from typing import Callable
 from .affine import Y_poly
 from .hecke import G_poly, S_apply
 from .laurent import LaurentPoly
+from .linalg import accumulate
 from .locality import record_cone
 from .report import CheckReport, CheckResult, check, timer
 from .scalars import QQ_ONE, RatFuncQ, qpow
@@ -94,10 +95,8 @@ def hat_y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1) -> Tensor
         for expo, w in poly.terms.items():
             if max(expo) > 0:
                 raise ValueError("transposed action needs non-positive modes")
-            for m, c in _y_transpose_table(nv, j, p, exponent, sum(expo), N).get(expo, ()):
-                prev = acc.get(m)
-                acc[m] = c * w if prev is None else prev + c * w
-        acc = {k: v for k, v in acc.items() if v}
+            accumulate(acc, _y_transpose_table(nv, j, p, exponent, sum(expo), N)
+                       .get(expo, ()), w)
         if acc:
             out_terms[e] = LaurentPoly(nv, acc)
     return TensorPoly(N, out_terms, nvars=nv)

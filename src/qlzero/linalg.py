@@ -1,4 +1,8 @@
-"""Exact row reduction over Q(q) (or any exact Python field).
+"""Sparse sums and exact row reduction over Q(q) (or any exact Python field).
+
+`accumulate` is the one add-and-drop-zeros step of the package: every sum
+of sparse dicts, from Laurent products and the tensor container to the row
+operations here, goes through it, so no zero is ever stored.
 
 LinearBasis keeps a fully reduced echelon basis of sparse vectors (dicts
 from hashable column indices to field elements).  Columns are ordered by a
@@ -18,15 +22,23 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 
-def _axpy(target: dict, c, row: dict) -> None:
-    """target -= c * row, in place, dropping the entries that cancel."""
-    for col, v in row.items():
-        s = target.get(col)
-        s = -(c * v) if s is None else s - c * v
+def accumulate(target: dict, items, scale=None) -> dict:
+    """target[k] += v (or scale * v) for each (k, v) in items, in place.
+
+    Entries that cancel are deleted and no zero is ever stored, so a sparse
+    dict stays canonical.  Works for any exact value type; `scale` needs
+    values that multiply by it.  Returns target.
+    """
+    for k, v in items:
+        if scale is not None:
+            v = scale * v
+        s = target.get(k)
+        s = v if s is None else s + v
         if s:
-            target[col] = s
-        elif col in target:
-            del target[col]
+            target[k] = s
+        elif k in target:
+            del target[k]
+    return target
 
 
 class LinearBasis:
@@ -46,7 +58,7 @@ class LinearBasis:
         for col in sorted(vec, key=self.key):
             row = self.pivots.get(col)
             if row is not None and col in vec:
-                _axpy(vec, vec[col], row)
+                accumulate(vec, row.items(), -vec[col])
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -61,7 +73,7 @@ class LinearBasis:
         for row2 in self.pivots.values():
             c = row2.get(piv)
             if c is not None:
-                _axpy(row2, c, row)
+                accumulate(row2, row.items(), -c)
         self.pivots[piv] = row
         return True
 

@@ -33,6 +33,14 @@ def zeta_modes(eps: tuple, m: tuple) -> tuple:
                  for j in range(N))
 
 
+def symbol_of(eps: tuple, n: tuple) -> tuple:
+    """The symbol (eps, m) whose root-variable modes are n: the inverse of
+    `zeta_modes`."""
+    N = len(eps)
+    return eps, tuple((n[j] + (1 - eps[j]) // 2 - 2 * (N - 1 - j)) // 2
+                      for j in range(N))
+
+
 def disorder(n: tuple) -> int:
     """How far the mode vector is from weakly decreasing order."""
     return sum(max(0, n[j + 1] - n[j]) for j in range(len(n) - 1))
@@ -160,19 +168,9 @@ def rewriter_completeness_check(N: int, window: Window) -> CheckReport:
             for sym in kb.cell_columns(grade)[:4]:
                 x = TensorPoly.monomial(sym[0], sym[1])
                 nf1 = rs.normal_form(x)
-                back = {}
-                for eps, n, c in nf1.terms:
-                    N2 = len(eps)
-                    m = tuple((n[j] + (1 - eps[j]) // 2 - 2 * (N2 - 1 - j)) // 2
-                              for j in range(N2))
-                    back[(eps, m)] = c
-                nf2_terms = rs.normal_form(back).terms
-                ok &= nf2_terms == nf1.terms
-                ok &= all(rs.is_admissible((eps,
-                                            tuple((n[j] + (1 - eps[j]) // 2
-                                                   - 2 * (len(eps) - 1 - j)) // 2
-                                                  for j in range(len(eps)))))
-                          for eps, n, c in nf1.terms)
+                back = {symbol_of(eps, n): c for eps, n, c in nf1.terms}
+                ok &= rs.normal_form(back).terms == nf1.terms
+                ok &= all(map(rs.is_admissible, back))
                 probes += 1
     check(rep, f"rewriter.idempotent.N{N}",
           "normal forms are fixed points on admissible symbols", ok,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .laurent import LaurentPoly
+from .linalg import accumulate
 from .locality import LEDGER
 from .scalars import QQ_ONE, RatFuncQ, eta_expand, qpow, qq_int
 from .windows import cone_exponents
@@ -91,24 +92,10 @@ class TensorPoly:
         return (self.arity == other.arity and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def accumulate(self, key, poly: LaurentPoly) -> None:
-        """Add poly to the coefficient at key, in place, dropping zeros."""
-        s = self.terms.get(key)
-        if s is None:
-            if poly:
-                self.terms[key] = poly
-            return
-        s = s + poly
-        if s:
-            self.terms[key] = s
-        else:
-            del self.terms[key]
-
     def __iadd__(self, other: "TensorPoly") -> "TensorPoly":
         if self.arity != other.arity or self.nvars != other.nvars:
             raise ValueError("shape mismatch")
-        for key, p in other.terms.items():
-            self.accumulate(key, p)
+        accumulate(self.terms, other.terms.items())
         return self
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
@@ -151,8 +138,8 @@ class TensorPoly:
         out = TensorPoly(None if symbols else self.arity + grow, nvars=self.nvars)
         for key, p in self.terms.items():
             for eps, c in images(key[0] if symbols else key):
-                out.accumulate((eps, key[1]) if symbols else eps,
-                               p if c == QQ_ONE else p.scale_coeffs(c))
+                accumulate(out.terms, (((eps, key[1]) if symbols else eps,
+                                        p if c == QQ_ONE else p.scale_coeffs(c)),))
         return out
 
     def extract_all(self) -> dict[tuple, dict]:
@@ -347,7 +334,7 @@ def basis_change_F_monomial(direction: str, eps: SignString, m: tuple,
     def rec(i: int, budget: int, shift: list, coeff: RatFuncQ):
         if i == len(pairs):
             n = tuple(m[t] + sign * kap[t] + shift[t] for t in range(N))
-            out.accumulate(eps, LaurentPoly.monomial(N, n, coeff))
+            accumulate(out.terms, ((eps, LaurentPoly.monomial(N, n, coeff)),))
             return
         j, k = pairs[i]
         step = k - j

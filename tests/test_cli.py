@@ -96,12 +96,43 @@ def test_kernel_window_must_end_at_zero(tmp_path, window):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ("check", "--suite", "hecke", "--n", "0", "--window=-1..0"),
+    ("check", "--suite", "hecke", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "hecke", "--n", "-1", "--window=-1..0"),
+    ("check", "--suite", "rhosg", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "prop8", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "prop9", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "rhof", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "rewriter", "--n", "1", "--window=-1..0"),
+    ("check", "--suite", "lemmas", "--n", "0"),
+    ("kernel", "--n", "0", "--window=-1..0"),
+    ("kernel", "--n", "-1", "--window=-1..0"),
+    ("kernel", "--n", "2", "--families", "FOO"),
+    ("kernel", "--n", "2", "--families", "HEC,HEC"),
+    ("kernel", "--n", "2", "--families", "HEC,"),
+])
+def test_slot_counts_and_families_exit_two(tmp_path, args):
+    rc, _out, err = run(*args, "--cache", str(tmp_path))
+    assert rc == 2 and "configuration error" in err and "Traceback" not in err, err
+    assert not any(tmp_path.iterdir())
+
+
+def test_kernel_cache_keyed_by_full_family_names(tmp_path):
+    for families in ("HEC", "HWT", "HEC,HWT"):
+        rc, _out, err = run("kernel", "--n", "2", "--window=-1..0",
+                            "--families", families, "--cache", str(tmp_path))
+        assert rc == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kernel-N2-D1-HEC-HWT.txt", "kernel-N2-D1-HEC.txt", "kernel-N2-D1-HWT.txt"]
+
+
 def test_kernel_cache_replaces_stale_files(tmp_path):
     from qlzero.kernel import KernelBasis, kernel_build
     from qlzero.windows import Window
 
     fresh = kernel_build(2, Window(2, -2), families=("HEC", "HWT")).save_text()
-    path = tmp_path / "kernel-N2-D2-HH.txt"
+    path = tmp_path / "kernel-N2-D2-HEC-HWT.txt"
     old = ('# qlzero-kernel {"families": ["HEC", "HWT"], "generators": 6, '
            '"max_degree": 2, "provenance": {"HEC": 6}, "sectors": [2]}\n'
            + fresh.split("\n", 1)[1])

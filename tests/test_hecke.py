@@ -46,6 +46,9 @@ def test_g_on_constants_and_variables():
     assert G_poly(z2, 1, 2, 1) == LaurentPoly.var(2, 1).scale_coeffs(qpow(-1))
     assert G_poly(z2, 1, 2, -1) == (LaurentPoly.var(2, 1).scale_coeffs(qpow(-1))
                                     + z2.scale_coeffs(qpow(-1) - qpow(1)))
+    # G z1 = (q - q^{-1}) z1 + q z2, so the z1 terms of the image cancel
+    f = LaurentPoly.var(2, 1) + z2.scale_coeffs(QQ_ONE - qpow(2))
+    assert G_poly(f, 1, 2, 1).terms == {(0, 1): qpow(1)}
 
 
 def test_g_quadratic_on_random():

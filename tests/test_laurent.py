@@ -24,6 +24,13 @@ def rand_poly(rng, arity=2, terms=4, span=3):
     return out
 
 
+def test_cancelled_terms_are_not_stored():
+    z1, z2 = LaurentPoly.var(2, 1), LaurentPoly.var(2, 2)
+    prod = (z1 - z2) * (z1 + z2)
+    assert prod.terms == {(2, 0): QQ_ONE, (0, 2): qq_int(-1)}
+    assert not (prod - prod).terms
+
+
 def test_swap_examples():
     f = LaurentPoly.monomial(2, (2, -1))
     assert lp_swap(f, 1, 2) == LaurentPoly.monomial(2, (-1, 2))

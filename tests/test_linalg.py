@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qlzero.linalg import LinearBasis
+from qlzero.linalg import LinearBasis, accumulate
 from qlzero.scalars import qpow, qq_int
 
 
@@ -85,3 +85,39 @@ def test_basis_stays_fully_reduced_over_fractions(vecs):
     for v in vecs:
         lb.add(v)
     assert_fully_reduced(lb, vecs, Fraction(1))
+
+
+@st.composite
+def streams(draw, entries):
+    """(start, items, cancelled, scale): a start vector and a shuffled
+    (key, value) stream in which every item of the keys in `cancelled`
+    comes with its negation, so those keys cancel back to their start."""
+    start = draw(st.dictionaries(st.sampled_from(COLUMNS), entries))
+    start = {c: x for c, x in start.items() if x}
+    items = draw(st.lists(st.tuples(st.sampled_from(COLUMNS), entries), max_size=10))
+    cancelled = draw(st.sets(st.sampled_from(COLUMNS)))
+    items += [(c, -x) for c, x in items if c in cancelled]
+    return start, draw(st.permutations(items)), cancelled, draw(st.none() | entries)
+
+
+def assert_accumulates(start, items, cancelled, scale, zero):
+    ref = dict(start)
+    for c, x in items:
+        ref[c] = ref.get(c, zero) + (x if scale is None else scale * x)
+    target = dict(start)
+    assert accumulate(target, items, scale) is target
+    assert target == {c: x for c, x in ref.items() if x}
+    assert all(target.values())
+    assert all(target.get(c) == start.get(c) for c in cancelled)
+
+
+@given(streams(rfqs))
+@settings(max_examples=100, deadline=None)
+def test_accumulate_drops_cancellations_over_qq(stream):
+    assert_accumulates(*stream, qq_int(0))
+
+
+@given(streams(fractions))
+@settings(max_examples=200, deadline=None)
+def test_accumulate_drops_cancellations_over_fractions(stream):
+    assert_accumulates(*stream, Fraction(0))

@@ -31,6 +31,12 @@ def test_affine_mode_shift_single_slot():
     assert not uq_apply("e0aff", x2)
 
 
+def test_sum_with_negation_stores_no_terms():
+    x = singlet_vector(2) + TensorPoly.monomial((PLUS, PLUS), (1, -1))
+    x += -x
+    assert x.terms == {}
+
+
 def test_t1_on_doubly_raised():
     x = TensorPoly.basis((PLUS, PLUS), LaurentPoly.one(2))
     assert uq_apply("t1", x) == x.scale(qpow(2))
