@@ -13,26 +13,22 @@ from qlzero.kernel import kernel_build, tensor_to_vec
 from qlzero.laurent import LaurentPoly
 from qlzero.scalars import qpow
 from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
-from qlzero.windows import Window
 
 print("== building the relation window (two slots, depth 3) ==")
-kb = kernel_build(2, Window(2, -3))
+kb = kernel_build(2, 3)
 print(f"sectors {kb.sectors}, generators {kb.n_generators}, "
       f"rank {kb.rank()} of ambient {kb.ambient_dimension()}")
 print("provenance:", kb.provenance)
 
 print("\n== membership with certificates ==")
 x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
-ok, res = kb.member(x)
-print(f"top like-sign symbol is a member: {ok}")
+print(f"top like-sign symbol is a member: {kb.member(x)}")
 print("verified certificate:", kb.certificate(x))
 y = TensorPoly.monomial((PLUS, MINUS), (0, 0))
-ok, res = kb.member(y)
-print(f"top mixed-sign symbol alone: member={ok} (it carries the vacuum)")
+print(f"top mixed-sign symbol alone: member={kb.member(y)} (it carries the vacuum)")
 vac = TensorPoly.monomial((), (), qpow(1))
 fused = tensor_to_vec(y) | tensor_to_vec(vac)
-ok, _ = kb.member(fused)
-print(f"mixed-sign symbol + q*vacuum: member={ok}  <- the fusion relation")
+print(f"mixed-sign symbol + q*vacuum: member={kb.member(fused)}  <- the fusion relation")
 print("its certificate:", kb.certificate(fused))
 
 print("\n== the fusion map ==")
@@ -40,10 +36,10 @@ print("fuse(v+ v-):", fuse(TensorPoly.basis((PLUS, MINUS), LaurentPoly.one(2)), 
 print("fuse(invariant):", fuse(singlet_vector(2), 1))
 
 print("\n== fusion compatibility of the twisted generators ==")
-rep = rhof_check(2, Window(2, -3))
+rep = rhof_check(2, kb)
 for line in rep.lines():
     print(" ", line)
-rep = rhof_check(2, Window(2, -3), p=qpow(3))
+rep = rhof_check(2, kb, p=qpow(3))
 for line in rep.lines():
     print(" ", line)
 print("the wrong scale fails membership, exactly as it must")

@@ -163,11 +163,6 @@ class RationalOp:
         self.parts = parts or {}
 
     @staticmethod
-    def identity(nvars: int) -> "RationalOp":
-        w = tuple(range(nvars))
-        return RationalOp(nvars, {w: (LaurentPoly.one(nvars), LaurentPoly.one(nvars))})
-
-    @staticmethod
     def multiplier(num: LaurentPoly, den: LaurentPoly) -> "RationalOp":
         w = tuple(range(num.arity))
         return RationalOp(num.arity, {w: (num, den)})

@@ -46,6 +46,10 @@ P_CHOICES = {"q3": [qpow(3)], "q4": [qpow(4)], "q5": [qpow(5)],
 
 # suites that act on slot pairs, so need at least two slots
 PAIR_SUITES = {"hecke", "rhosg", "prop8", "prop9", "rhof", "rewriter"}
+# suites judged on a relation window -D..0; the others take a box window
+DEPTH_SUITES = {"chevalley", "prop8", "prop9", "rhof", "rewriter", "e0forms"}
+EXCHANGE = ("HEC", "HWT")
+FULL = ("HEC", "FUS", "HWT")
 
 JOB_KEYS = {"suite", "n", "window", "p"}
 CONFIG_KEYS = {"suites", "out"}
@@ -66,6 +70,14 @@ def parse_window(text: str, arity: int) -> Window:
         raise ConfigError(f"bad window {text!r}: {exc}") from None
 
 
+def parse_depth(text: str) -> int:
+    """The depth D of a relation window -D..0."""
+    window = parse_window(text, 1)
+    if window.hi != 0:
+        raise ConfigError(f"relation windows end at mode 0, got {text!r}")
+    return window.depth
+
+
 def cache_dir(args) -> Path | None:
     d = getattr(args, "cache", None) or os.environ.get("QLZERO_CACHE")
     if d is None:
@@ -77,7 +89,7 @@ def cache_dir(args) -> Path | None:
 
 def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> KernelBasis:
     if cache is None:
-        return kernel_build(N, Window(N, -depth), families=families)
+        return kernel_build(N, depth, families)
     key = f"N{N}-D{depth}-" + "-".join(sorted(families))
     path = cache / f"kernel-{key}.txt"
     if path.exists():
@@ -89,12 +101,14 @@ def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> Ke
         if (kb is not None and kb.caps == sector_caps(N, depth, "FUS" in families)
                 and sorted(kb.families) == sorted(families)):
             return kb
-    kb = kernel_build(N, Window(N, -depth), families=families)
+    kb = kernel_build(N, depth, families)
     path.write_text(kb.save_text())
     return kb
 
 
-def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
+def parse_job(name: str, cfg: dict) -> tuple:
+    """(n, window, ps) of a job; the window is the depth for DEPTH_SUITES
+    and a box Window for the others."""
     try:
         n = int(cfg.get("n", 2))
     except (ValueError, TypeError):
@@ -102,11 +116,23 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
     need = 2 if name in PAIR_SUITES else 1
     if n < need:
         raise ConfigError(f"suite {name!r} needs at least {need} slots, got n={n}")
-    window = parse_window(cfg.get("window", "-3..0"), n)
+    text = cfg.get("window", "-3..0")
+    window = parse_depth(text) if name in DEPTH_SUITES else parse_window(text, n)
     p_name = cfg.get("p", "q4")
     if p_name not in P_CHOICES:
         raise ConfigError(f"unknown p selection {p_name!r}")
-    ps = P_CHOICES[p_name]
+    if name == "rhof" and p_name != "q4":
+        raise ConfigError("fusion requires p=q^4")
+    return n, window, P_CHOICES[p_name]
+
+
+def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
+    """Run one job; the relation-window suites get their windows, at the
+    job's depth, from `cached_kernel`."""
+    n, window, ps = parse_job(name, cfg)
+
+    def kernel(families):
+        return cached_kernel(n, window, families, cache)
 
     if name == "hecke":
         return hecke_suite(n, window)
@@ -123,30 +149,28 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
             rep.extend(rhosg_check(n, p, window))
         return rep
     if name == "chevalley":
-        kb = cached_kernel(n, window.depth, ("HEC", "HWT"), cache)
-        return chevalley_check(n, window, kb)
+        return chevalley_check(n, kernel(EXCHANGE))
     if name == "prop8":
-        return prop8_check(n, window)
+        return prop8_check(n, kernel(EXCHANGE))
     if name == "prop9":
         return prop9_check(n, window)
     if name == "rhof":
-        if p_name != "q4":
-            raise ConfigError("fusion requires p=q^4")
-        kb = cached_kernel(n, window.depth, ("HEC", "FUS", "HWT"), cache)
-        rep = rhof_check(n, window, kb=kb)
+        kb = kernel(FULL)
+        rep = rhof_check(n, kb)
         if n == 2:
-            rep.extend(rhof_check(2, window, p=qpow(3), kb=kb))
+            rep.extend(rhof_check(2, kb, qpow(3)))
         return rep
     if name == "characters":
         return character_check()
     if name == "evalmod":
         return evaluation_module_suite(n)
     if name == "rewriter":
-        rep = rewriter_soundness_check(n, window)
-        rep.extend(rewriter_completeness_check(n, window))
+        kb_full = kernel(FULL)
+        rep = rewriter_soundness_check(n, kernel(EXCHANGE), kb_full)
+        rep.extend(rewriter_completeness_check(n, kb_full))
         return rep
     if name == "e0forms":
-        return e0_forms_check(n, window)
+        return e0_forms_check(n, kernel(EXCHANGE))
     raise ConfigError(f"unknown suite {name!r}")
 
 
@@ -182,8 +206,7 @@ def cmd_check(args) -> int:
                               f", got {job!r}")
         if job.get("suite") not in SUITES:
             raise ConfigError(f"unknown suite {job.get('suite')!r}")
-        if job.get("suite") == "rhof" and job.get("p", "q4") != "q4":
-            raise ConfigError("fusion requires p=q^4")
+        parse_job(job["suite"], job)
     cache = cache_dir(args)
     full = CheckReport("qlzero")
     for job in jobs:
@@ -208,10 +231,7 @@ def cmd_kernel(args) -> int:
                           f"got {args.families!r}")
     if args.n < 1:
         raise ConfigError(f"a kernel needs at least one slot, got n={args.n}")
-    window = parse_window(args.window, args.n)
-    if window.hi != 0:
-        raise ConfigError(f"kernel windows end at mode 0, got {args.window!r}")
-    kb = cached_kernel(args.n, window.depth, families, cache_dir(args))
+    kb = cached_kernel(args.n, parse_depth(args.window), families, cache_dir(args))
     print(f"sectors {kb.sectors} degree {kb.max_degree} families {kb.families}")
     print(f"generators {kb.n_generators} rank {kb.rank()} "
           f"ambient {kb.ambient_dimension()}")

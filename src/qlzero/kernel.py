@@ -32,7 +32,7 @@ from .linalg import LinearBasis, accumulate
 from .report import CheckReport, check, timer
 from .scalars import RatFuncQ, qpow, qq_int, RatFuncQ as _RF
 from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
-from .windows import Window, cone_cell
+from .windows import cone_cell
 
 FAMILIES = ("HEC", "FUS", "HWT")
 
@@ -332,10 +332,9 @@ class KernelBasis:
             residual.update(comp if basis is None else basis.reduce(comp))
         return residual
 
-    def member(self, x):
-        """(is_member, residual): the residual is nonzero on failure."""
-        res = self.reduce(x)
-        return (not res, res)
+    def member(self, x) -> bool:
+        """Whether x lies in the span (`reduce` gives the residual)."""
+        return not self.reduce(x)
 
     def certificate(self, x) -> dict | None:
         """{generator tag: coefficient} with x = sum_g c_g * gen_g, returned
@@ -448,35 +447,33 @@ class KernelBasis:
         return kb
 
 
-def kernel_build(N: int, window: Window, families=("HEC", "FUS", "HWT")) -> KernelBasis:
-    """Build the relation-window basis for the sector chain N, N-2, ...
+def kernel_build(N: int, depth: int, families=("HEC", "FUS", "HWT")) -> KernelBasis:
+    """Build the relation-window basis of the modes -depth..0 for the sector
+    chain N, N-2, ...
 
     The highest-weight family is realized structurally (cone windows); it
     is listed in the manifest when requested.  Without FUS only the single
     sector N is used.
     """
-    if window.hi > 0:
-        raise ValueError("mode windows require hi <= 0")
-    if window.arity != N:
-        raise ValueError("window arity mismatch")
-    kb = KernelBasis(sector_caps(N, window.depth, "FUS" in families), families)
+    if depth < 0:
+        raise ValueError(f"relation windows need depth >= 0, got {depth}")
+    kb = KernelBasis(sector_caps(N, depth, "FUS" in families), families)
     return kb.extend(*(gen for fam, gen in GENERATORS.items() if fam in families))
 
 
 # -- statement-level checks --------------------------------------------------
 
 
-def prop9_check(N: int, window: Window) -> CheckReport:
+def prop9_check(N: int, depth: int) -> CheckReport:
     """Spans of the cross-multiplied commutation family and of the exchange
-    family agree, cell by cell, inside the window."""
+    family agree, cell by cell, inside the window of the given depth."""
     rep = CheckReport(f"commutation vs exchange spans N={N}")
-    D = window.depth
-    caps = sector_caps(N, D, fusion=False)
+    caps = sector_caps(N, depth, fusion=False)
     comm, exch, union = (KernelBasis(caps) for _ in range(3))
     with timer() as t:
         for eps in sign_strings(N):
             for j in range(1, N):
-                w = TensorPoly.window(eps, D)
+                w = TensorPoly.window(eps, depth)
                 nv = w.nvars
                 zj = LaurentPoly.var(nv, j)
                 zj1 = LaurentPoly.var(nv, j + 1)
@@ -486,12 +483,12 @@ def prop9_check(N: int, window: Window) -> CheckReport:
                                           - zj.scale_coeffs(qpow(-1)))
                          - R_numerator_op(w, j, j + 1, j, j + 1))
                 # a target of exponent sum t draws on symbols of degree t-1,
-                # so everything up to t = D+1 is complete in this window
+                # so everything up to t = depth+1 is complete in this window
                 for expo, vec in fam_a.extract_all().items():
-                    if vec and sum(expo) <= D + 1:
+                    if vec and sum(expo) <= depth + 1:
                         comm.add(vec, "A")
                         union.add(vec, "A")
-        for vec, tag in iter_hec_generators(N, D):
+        for vec, tag in iter_hec_generators(N, depth):
             exch.add(vec, tag)
             union.add(vec, tag)
     ranks_a, ranks_b, ranks_u = comm.ranks(), exch.ranks(), union.ranks()
@@ -509,17 +506,20 @@ def _fbar_shift(eps_bar: tuple) -> tuple:
     return tuple((1 + eps_bar[j]) // 2 - 2 * (N - 1 - j) for j in range(N))
 
 
-def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> TensorPoly:
+def _fbar_order(N: int, max_degree: int) -> int:
+    """Truncation order of the expanded geometric factors."""
+    return 2 * max_degree + 2 * N
+
+
+def fbar_series(eps_bar: tuple, max_degree: int) -> TensorPoly:
     """Root-variable dressing of the sign-flipped window series.
 
     Symbols are those of the flipped string; values live in root variables
     (z = zeta^2), carrying the parity prefactor, the triangular monomial
-    and the expanded geometric factors.  Coefficients are complete exactly
-    at the targets accepted by fbar_target_complete for the same n_max.
+    and the geometric factors expanded to `_fbar_order`.  Coefficients are
+    complete exactly at the targets accepted by fbar_target_complete.
     """
     N = len(eps_bar)
-    if n_max is None:
-        n_max = max_degree
     flip = tuple(-s for s in eps_bar)
     # root-variable values: exponent doubling plus the parity/monomial shift
     shift = _fbar_shift(eps_bar)
@@ -529,7 +529,7 @@ def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> Te
     for j in range(1, N + 1):
         for k in range(j + 1, N + 1):
             geo = {}
-            for n in range(n_max + 1):
+            for n in range(_fbar_order(N, max_degree) + 1):
                 e = [0] * N
                 e[j - 1] = -2 * n
                 e[k - 1] = 2 * n
@@ -539,20 +539,18 @@ def fbar_series(eps_bar: tuple, max_degree: int, n_max: int | None = None) -> Te
 
 
 def fbar_target_complete(eps_bar: tuple, expo: tuple, max_degree: int,
-                         n_max: int | None = None, extra: int = 0) -> bool:
-    """Whether the coefficient at this exponent is complete at truncation
-    order n_max: the redistribution flow into every index suffix must be
-    realizable within the expanded terms (with slack for a multiplier of
-    degree `extra` applied after the dressing)."""
-    if n_max is None:
-        n_max = max_degree
+                         extra: int = 0) -> bool:
+    """Whether the coefficient at this exponent of fbar_series is complete:
+    the redistribution flow into every index suffix must be realizable
+    within the expanded terms (with slack for a multiplier of degree
+    `extra` applied after the dressing)."""
     if not _fbar_target_ok(eps_bar, expo, max_degree, extra):
         return False
     shift = _fbar_shift(eps_bar)
     N = len(eps_bar)
     for t in range(1, N):
         flow2 = sum(expo[k] - shift[k] for k in range(t, N))
-        if flow2 > 2 * n_max - 2 * extra:
+        if flow2 > 2 * (_fbar_order(N, max_degree) - extra):
             return False
     return True
 
@@ -563,13 +561,11 @@ def _swap_expo(expo: tuple, k: int) -> tuple:
     return tuple(e)
 
 
-def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
+def iter_ab_relations(N: int, max_degree: int):
     """Coefficient relations of the two root-variable symmetrization
     families, restricted to targets whose every constituent (swapped or
     not) is complete at the truncation order."""
-    if n_max is None:
-        n_max = 2 * max_degree + 2 * N
-    fbar = {eps: fbar_series(eps, max_degree, n_max) for eps in sign_strings(N)}
+    fbar = {eps: fbar_series(eps, max_degree) for eps in sign_strings(N)}
     for eps_bar in sign_strings(N):
         for k in range(1, N):
             if eps_bar[k - 1] != eps_bar[k]:
@@ -579,9 +575,9 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
             for expo, vec in diff.extract_all().items():
                 if not vec:
                     continue
-                if (fbar_target_complete(eps_bar, expo, max_degree, n_max)
+                if (fbar_target_complete(eps_bar, expo, max_degree)
                         and fbar_target_complete(eps_bar, _swap_expo(expo, k),
-                                                 max_degree, n_max)):
+                                                 max_degree)):
                     yield vec, f"A.N{N}.k{k}.{_eps_str(eps_bar)}.{expo}"
     for outer in sign_strings(N - 2) if N >= 2 else []:
         for k in range(1, N):
@@ -600,7 +596,7 @@ def iter_ab_relations(N: int, max_degree: int, n_max: int | None = None):
                 if not vec:
                     continue
                 swapped = _swap_expo(expo, k)
-                if all(fbar_target_complete(eps, e2, max_degree, n_max, extra=1)
+                if all(fbar_target_complete(eps, e2, max_degree, extra=1)
                        for eps in (eps_pm, eps_mp) for e2 in (expo, swapped)):
                     yield vec, f"B.N{N}.k{k}.{_eps_str(eps_pm)}.{expo}"
 
@@ -616,12 +612,11 @@ def _fbar_target_ok(eps_bar: tuple, expo: tuple, max_degree: int,
     return deg2 % 2 == 0 and 0 <= deg2 // 2 <= max_degree
 
 
-def prop8_check(N: int, window: Window) -> CheckReport:
+def prop8_check(N: int, kb: KernelBasis) -> CheckReport:
     """Both root-variable symmetrization families land in the exchange
-    kernel; a lone unsymmetrized term does not."""
+    kernel kb; a lone unsymmetrized term does not."""
     rep = CheckReport(f"normal-ordering membership N={N}")
-    D = window.depth
-    kb = kernel_build(N, Window(N, -D), families=("HEC", "HWT"))
+    D = kb.max_degree
 
     counts = {"A": 0, "B": 0}
     fails = {"A": 0, "B": 0}
@@ -629,8 +624,7 @@ def prop8_check(N: int, window: Window) -> CheckReport:
         for vec, tag in iter_ab_relations(N, D):
             fam = tag[0]
             counts[fam] += 1
-            good, _res = kb.member(vec)
-            if not good:
+            if not kb.member(vec):
                 fails[fam] += 1
     check(rep, f"prop8.equal_pair.N{N}",
           "equal-sign root symmetrization lies in the exchange kernel",
@@ -641,20 +635,13 @@ def prop8_check(N: int, window: Window) -> CheckReport:
 
     # negative control: one unsymmetrized term alone is not in the kernel
     with timer() as t:
-        n_max = 2 * D + 2 * N
-        found_nonmember = False
-        for eps_bar in sign_strings(N):
-            base = fbar_series(eps_bar, D, n_max)
-            swapped = base.map_coeffs(lambda p: lp_swap(p, 1, 2))
-            for expo, vec in swapped.extract_all().items():
-                if (vec and fbar_target_complete(eps_bar, expo, D, n_max)
-                        and fbar_target_complete(eps_bar, _swap_expo(expo, 1), D, n_max)):
-                    good, _res = kb.member(vec)
-                    if not good:
-                        found_nonmember = True
-                        break
-            if found_nonmember:
-                break
+        found_nonmember = any(
+            vec and fbar_target_complete(eps_bar, expo, D)
+            and fbar_target_complete(eps_bar, _swap_expo(expo, 1), D)
+            and not kb.member(vec)
+            for eps_bar in sign_strings(N)
+            for expo, vec in fbar_series(eps_bar, D).map_coeffs(
+                lambda p: lp_swap(p, 1, 2)).extract_all().items())
     check(rep, f"prop8.control.N{N}",
           "a lone swapped term is not in the kernel", found_nonmember,
           "negative control", 0 if found_nonmember else 1, t.seconds)

@@ -263,25 +263,24 @@ def _tally(basis: list, e0: Callable, f0: Callable, holds: Callable) -> tuple:
     return bad, secs
 
 
-def chevalley_check(N: int, window: Window, kernel, p: RatFuncQ = P_DEFAULT) -> CheckReport:
+def chevalley_check(N: int, kb, p: RatFuncQ = P_DEFAULT) -> CheckReport:
     """Defining relations of the twisted action, on the quotient.
 
-    Diagonal conjugations hold exactly on the window; the bracket relations
-    and the degree-4 relations hold modulo the kernel membership oracle
-    (which is what acting on the quotient means).  e0/f0 preserve degree
-    and weight shifts by -2/+2, so no margin is consumed.
+    Diagonal conjugations hold exactly on the window of kb's depth; the
+    bracket relations and the degree-4 relations hold modulo membership in
+    the relation window kb (which is what acting on the quotient means).
+    e0/f0 preserve degree and weight shifts by -2/+2, so no margin is
+    consumed.
     """
-    if kernel.max_degree < window.depth:
-        raise ValueError("window underflow: kernel shallower than the window")
     rep = CheckReport(f"quotient relations N={N}")
     basis = []
-    for d in range(window.depth + 1):
+    for d in range(kb.max_degree + 1):
         for m in cone_cell(N, -d):
             for e in sign_strings(N):
                 basis.append(TensorPoly.monomial(e, m))
 
     def holds(block, r):
-        return not r or (block != "diagonal" and kernel.member(r)[0])
+        return not r or (block != "diagonal" and kb.member(r))
 
     bad, secs = _tally(basis, lambda y: e0_apply(y, p), lambda y: f0_apply(y, p), holds)
     for block, relation, detail in (

@@ -118,6 +118,42 @@ def test_slot_counts_and_families_exit_two(tmp_path, args):
     assert not any(tmp_path.iterdir())
 
 
+DEPTH_SUITES = ("chevalley", "prop8", "prop9", "rhof", "rewriter", "e0forms")
+
+
+@pytest.mark.parametrize("window", ["-2..1", "-2..-1"])
+@pytest.mark.parametrize("suite", DEPTH_SUITES)
+def test_depth_suite_window_must_end_at_zero(tmp_path, suite, window):
+    rc, _out, err = run("check", "--suite", suite, "--n", "2", f"--window={window}",
+                        "--cache", str(tmp_path))
+    assert rc == 2 and "configuration error" in err and window in err, err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", [{"suite": "hecke", "n": 1},
+                                 {"suite": "prop8", "n": 2, "window": "-1..1"},
+                                 {"suite": "lemmas", "p": "q7"}])
+def test_config_validated_before_the_first_job(tmp_path, bad):
+    # the first job would write a kernel file to the cache if it ran
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "chevalley", "n": 2, "window": "-1..0"}, bad]}))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    rc, out, err = run("check", "--config", str(cfg), "--cache", str(cache))
+    assert rc == 2 and "configuration error" in err and "Traceback" not in err, err
+    assert out == "" and not any(cache.iterdir())
+
+
+def test_cache_serves_every_relation_window_suite(tmp_path):
+    for suite in ("prop8", "e0forms", "rewriter", "rhof"):
+        rc, _out, err = run("check", "--suite", suite, "--n", "2", "--window=-1..0",
+                            "--cache", str(tmp_path))
+        assert rc == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kernel-N2-D1-FUS-HEC-HWT.txt", "kernel-N2-D1-HEC-HWT.txt"]
+
+
 def test_kernel_cache_keyed_by_full_family_names(tmp_path):
     for families in ("HEC", "HWT", "HEC,HWT"):
         rc, _out, err = run("kernel", "--n", "2", "--window=-1..0",
@@ -129,14 +165,13 @@ def test_kernel_cache_keyed_by_full_family_names(tmp_path):
 
 def test_kernel_cache_replaces_stale_files(tmp_path):
     from qlzero.kernel import KernelBasis, kernel_build
-    from qlzero.windows import Window
 
-    fresh = kernel_build(2, Window(2, -2), families=("HEC", "HWT")).save_text()
+    fresh = kernel_build(2, 2, ("HEC", "HWT")).save_text()
     path = tmp_path / "kernel-N2-D2-HEC-HWT.txt"
     old = ('# qlzero-kernel {"families": ["HEC", "HWT"], "generators": 6, '
            '"max_degree": 2, "provenance": {"HEC": 6}, "sectors": [2]}\n'
            + fresh.split("\n", 1)[1])
-    shallow = kernel_build(2, Window(2, -1), families=("HEC", "HWT")).save_text()
+    shallow = kernel_build(2, 1, ("HEC", "HWT")).save_text()
     for stale in (old, shallow):
         path.write_text(stale)
         rc, out, err = run("kernel", "--n", "2", "--window=-2..0",

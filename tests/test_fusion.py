@@ -9,7 +9,6 @@ from qlzero.laurent import LaurentPoly
 from qlzero.scalars import qpow, qq_int
 from qlzero.series import series_e0
 from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
-from qlzero.windows import Window
 
 
 def test_specialize_adjacent_basics():
@@ -43,23 +42,24 @@ def test_fuse_attaches_prefactors_at_three_slots():
 
 
 def test_rhof_small_and_controls():
-    rep = rhof_check(2, Window(2, -3))
+    kb = kernel_build(2, 3)
+    rep = rhof_check(2, kb)
     assert rep.ok, rep.lines()
-    rep = rhof_check(2, Window(2, -3), p=qpow(3))
+    rep = rhof_check(2, kb, p=qpow(3))
     assert rep.ok, rep.lines()
 
 
 def test_rhof_triplet_channel_kills_both_sides():
     # like-sign sources have no reduced window; every specialized coefficient
     # must already be a kernel member
-    kb = kernel_build(2, Window(2, -3))
+    kb = kernel_build(2, 3)
     X = TensorPoly.window((PLUS, PLUS), 3)
     lhs = specialize_adjacent(series_e0(X, qpow(4), 2), 1)
     for expo, vec in lhs.extract_all().items():
         if vec and sum(expo) <= 3:
-            assert kb.member(vec)[0]
+            assert kb.member(vec)
 
 
 def test_e0_forms_agree_mod_exchange():
-    rep = e0_forms_check(2, Window(2, -2))
+    rep = e0_forms_check(2, kernel_build(2, 2, ("HEC", "HWT")))
     assert rep.ok, rep.lines()

@@ -16,7 +16,6 @@ from qlzero.kernel import (
 from qlzero.rewrite import RewriteSystem
 from qlzero.scalars import qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly
-from qlzero.windows import Window
 
 
 def test_grades():
@@ -27,25 +26,24 @@ def test_grades():
 
 
 def test_single_slot_kernel_empty():
-    kb = kernel_build(1, Window(1, -3))
+    kb = kernel_build(1, 3)
     assert kb.rank() == 0
 
 
 def test_generator_is_member_and_eigenline():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    kb = kernel_build(2, 2, ("HEC", "HWT"))
     g = hec_generator((PLUS, PLUS), (0, 0), 1)
-    assert kb.member(g)[0]
+    assert kb.member(g)
     # that generator is a nonzero multiple of the like-sign top symbol, so
     # the symbol itself is in the exchange window
     x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
-    assert kb.member(x)[0]
+    assert kb.member(x)
 
 
 def test_nonmember_with_residual():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    kb = kernel_build(2, 2, ("HEC", "HWT"))
     x = TensorPoly.monomial((PLUS, MINUS), (0, 0))
-    ok, res = kb.member(x)
-    assert not ok and res
+    assert not kb.member(x) and kb.reduce(x)
 
 
 def combination(cert, generators):
@@ -58,15 +56,14 @@ def combination(cert, generators):
 
 
 def test_member_linearity_and_certificates():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    kb = kernel_build(2, 2, ("HEC", "HWT"))
     g1 = hec_generator((PLUS, MINUS), (0, -1), 1)
     g2 = hec_generator((MINUS, PLUS), (-1, -1), 1)
     combo = dict(g1)
     for s, c in g2.items():
         combo[s] = combo.get(s, qq_int(0)) + c * qpow(2)
     combo = {s: c for s, c in combo.items() if c}
-    ok, res = kb.member(combo)
-    assert ok and not res
+    assert kb.member(combo) and not kb.reduce(combo)
     cert = kb.certificate(combo)
     assert cert
     # the certificate reproduces the vector over the named generators
@@ -76,7 +73,7 @@ def test_member_linearity_and_certificates():
 
 
 def test_loaded_kernel_certifies_with_generator_tags():
-    kb = KernelBasis.load_text(kernel_build(2, Window(2, -3)).save_text())
+    kb = KernelBasis.load_text(kernel_build(2, 3).save_text())
     x = TensorPoly.monomial((PLUS, PLUS), (0, 0))
     cert = kb.certificate(x)
     assert cert and all(tag.startswith(("HEC.", "FUS.")) for tag in cert)
@@ -86,7 +83,7 @@ def test_loaded_kernel_certifies_with_generator_tags():
 
 
 def test_certificate_non_member_and_spans_without_families():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    kb = kernel_build(2, 2, ("HEC", "HWT"))
     assert kb.certificate(TensorPoly.monomial((PLUS, MINUS), (0, 0))) is None
     assert kb.certificate({}) == {}
     with pytest.raises(ValueError):
@@ -97,22 +94,22 @@ def test_certificate_non_member_and_spans_without_families():
 
 
 def test_full_families_rank_below_ambient():
-    kb = kernel_build(2, Window(2, -3))
+    kb = kernel_build(2, 3)
     assert kb.sectors == (2, 0)
     assert 0 < kb.rank() < kb.ambient_dimension()
     assert kb.provenance["HEC"] > 0 and kb.provenance["FUS"] > 0
 
 
 def test_fusion_identifies_vacuum():
-    kb = kernel_build(2, Window(2, -3))
+    kb = kernel_build(2, 3)
     x = TensorPoly.monomial((PLUS, MINUS), (0, 0))
     vac = TensorPoly.monomial((), (), qpow(1))
-    ok, _res = kb.member(tensor_to_vec(x) | tensor_to_vec(vac))
-    assert ok  # x_{+-,00} + q*vacuum is exactly the fusion relation
+    # x_{+-,00} + q*vacuum is exactly the fusion relation
+    assert kb.member(tensor_to_vec(x) | tensor_to_vec(vac))
 
 
 def test_member_rejects_out_of_window():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
+    kb = kernel_build(2, 2, ("HEC", "HWT"))
     with pytest.raises(ValueError):
         kb.member(TensorPoly.monomial((PLUS, MINUS), (-4, -4)))
     with pytest.raises(ValueError):
@@ -123,25 +120,23 @@ def test_member_rejects_out_of_window():
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        kernel_build(2, Window(2, -2, 1))
-    with pytest.raises(ValueError):
-        kernel_build(2, Window(3, -2))
+        kernel_build(2, -1)
 
 
 def test_persistence_round_trip():
-    kb = kernel_build(2, Window(2, -3))
+    kb = kernel_build(2, 3)
     text = kb.save_text()
     kb2 = KernelBasis.load_text(text)
     assert kb2.save_text() == text
     assert kb2.rank() == kb.rank()
     x = TensorPoly.monomial((PLUS, MINUS), (0, 0))
-    assert kb.member(x)[0] == kb2.member(x)[0]
+    assert kb.member(x) == kb2.member(x)
 
 
 def test_persistence_keeps_sector_caps():
     # the sector-1 window of the N=3 fusion chain is one degree shallower;
     # a loaded kernel must keep rejecting what the built one rejects
-    kb = kernel_build(3, Window(3, -3))
+    kb = kernel_build(3, 3)
     assert kb.caps == {3: 3, 1: 2}
     kb2 = KernelBasis.load_text(kb.save_text())
     assert list(kb2.caps.items()) == list(kb.caps.items())
@@ -152,10 +147,11 @@ def test_persistence_keeps_sector_caps():
             k.member(deep)
     inside = {((PLUS,), (-2,)): qq_int(1)}
     assert kb.member(inside) == kb2.member(inside)
+    assert kb.reduce(inside) == kb2.reduce(inside)
 
 
 def test_load_rejects_other_formats():
-    text = kernel_build(2, Window(2, -2), families=("HEC", "HWT")).save_text()
+    text = kernel_build(2, 2, ("HEC", "HWT")).save_text()
     body = text.split("\n", 1)[1]
     old = ('# qlzero-kernel {"families": ["HEC", "HWT"], "generators": 6, '
            '"max_degree": 2, "provenance": {"HEC": 6}, "sectors": [2]}\n')
@@ -168,7 +164,7 @@ def test_load_rejects_other_formats():
 def test_kernel_and_rewriter_share_the_window():
     # one window check: both spans reject a positive mode, a sector off the
     # chain and a degree above the cap, and agree on membership inside it
-    kb = kernel_build(2, Window(2, -2))
+    kb = kernel_build(2, 2)
     rs = RewriteSystem(2, 2)
     assert kb.caps == rs.caps == {2: 2, 0: 2}
     outside = [((PLUS, MINUS), (1, -1)),
@@ -181,7 +177,7 @@ def test_kernel_and_rewriter_share_the_window():
                 span.reduce({sym: qq_int(1)})
     for sym in (((MINUS, PLUS), (-1, -1)), ((PLUS, PLUS), (0, -2)), ((), ())):
         vec = {sym: qq_int(1)}
-        assert kb.member(vec)[0] == (not rs.reduce(vec))
+        assert kb.member(vec) == (not rs.reduce(vec))
 
 
 def test_ab_span_equals_exchange_span():
@@ -196,13 +192,13 @@ def test_ab_span_equals_exchange_span():
 
 
 def test_prop9_and_prop8_small():
-    assert prop9_check(2, Window(2, -3)).ok
-    rep = prop8_check(2, Window(2, -2))
+    assert prop9_check(2, 3).ok
+    rep = prop8_check(2, kernel_build(2, 2, ("HEC", "HWT")))
     assert rep.ok, rep.lines()
 
 
 def test_prop9_degenerate_window():
-    rep = prop9_check(2, Window(2, 0))
+    rep = prop9_check(2, 0)
     assert rep.ok  # single-monomial window: both spans trivial
 
 
@@ -216,18 +212,18 @@ def test_kernel_stability_under_operators():
     from qlzero.scalars import qpow
     from qlzero.kernel import vec_to_tensor
 
-    kb = kernel_build(2, Window(2, -3), families=("HEC", "HWT"))
+    kb = kernel_build(2, 3, ("HEC", "HWT"))
     p = qpow(4)
     checked = 0
     for vec, tag in iter_hec_generators(2, 3):
         g = vec_to_tensor(vec, 2)
-        assert kb.member(S_apply(g, 1))[0], tag
+        assert kb.member(S_apply(g, 1)), tag
         img = e0_apply(g, p)
         if img:
-            assert kb.member(img)[0], tag
+            assert kb.member(img), tag
         img = f0_apply(g, p)
         if img:
-            assert kb.member(img)[0], tag
+            assert kb.member(img), tag
         checked += 1
     assert checked > 0
 
@@ -239,7 +235,7 @@ def test_kernel_stability_far_y_pairs():
     from qlzero.scalars import qpow
     from qlzero.kernel import vec_to_tensor
 
-    kb = kernel_build(3, Window(3, -2), families=("HEC", "HWT"))
+    kb = kernel_build(3, 2, ("HEC", "HWT"))
     p = qpow(4)
     n = bad = 0
     for vec, tag in iter_hec_generators(3, 2):
@@ -248,6 +244,6 @@ def test_kernel_stability_far_y_pairs():
         g = vec_to_tensor(vec, 3)
         y = hat_y_apply(g, 3, p, -1)
         n += 1
-        if not kb.member(y)[0]:
+        if not kb.member(y):
             bad += 1
     assert n > 0 and bad == 0, (bad, n)

@@ -105,15 +105,9 @@ def test_evaluation_module_relations():
 
 
 def test_chevalley_on_quotient():
-    kb = kernel_build(2, Window(2, -3), families=("HEC", "HWT"))
-    rep = chevalley_check(2, Window(2, -3), kb)
+    kb = kernel_build(2, 3, ("HEC", "HWT"))
+    rep = chevalley_check(2, kb)
     assert rep.ok, rep.lines()
-
-
-def test_chevalley_window_underflow():
-    kb = kernel_build(2, Window(2, -2), families=("HEC", "HWT"))
-    with pytest.raises(ValueError):
-        chevalley_check(2, Window(2, -4), kb)
 
 
 def test_hat_action_requires_cone():

@@ -1,5 +1,6 @@
 import pytest
 
+from qlzero.kernel import kernel_build
 from qlzero.rewrite import (
     NormalForm,
     RewriteSystem,
@@ -10,7 +11,6 @@ from qlzero.rewrite import (
 )
 from qlzero.scalars import qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly
-from qlzero.windows import Window
 
 
 def test_zeta_mode_labels():
@@ -78,7 +78,8 @@ def test_linearity_of_reduction():
 
 
 def test_soundness_and_completeness_small():
-    rep = rewriter_soundness_check(2, Window(2, -2))
+    rep = rewriter_soundness_check(2, kernel_build(2, 2, ("HEC", "HWT")),
+                                   kernel_build(2, 2))
     assert rep.ok, rep.lines()
-    rep = rewriter_completeness_check(2, Window(2, -3))
+    rep = rewriter_completeness_check(2, kernel_build(2, 3))
     assert rep.ok, rep.lines()
