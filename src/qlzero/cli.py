@@ -279,8 +279,9 @@ def cmd_dump(args) -> int:
     fn = ops[name if name in ops else name[0]]
     if name[0] in "GYZ":     # operators on bare polynomials
         inputs = [LaurentPoly.monomial(n, m) for m in window.exponents()]
-    else:                    # operators on tensor windows
-        inputs = [TensorPoly.monomial(eps, m) for m in cone_exponents(n, window.depth)
+    else:                    # operators on relation windows -D..0
+        inputs = [TensorPoly.monomial(eps, m)
+                  for m in cone_exponents(n, parse_depth(args.window))
                   for eps in sign_strings(n)]
     print(f"# action of {name} on the window {window.lo}..{window.hi}, N={n}")
     for x in inputs:

@@ -17,8 +17,11 @@ denominator is c*q^k with c > 0.  Such a fraction reduces by its q-valuation
 and integer content alone (`_reduce_mono`), so products, sums and
 normalizations with monomial denominators never compute a polynomial gcd.
 Any other denominator (the cyclotomic factors from pivots and eta factors)
-falls back to the primitive-PRS gcd `qp_gcd`.  Exact division in Z[q]
-(`qp_div_exact`) is integer-only.
+goes through `qp_gcd`.  A gcd or exact division with a monomial side c*q^k
+never runs the PRS: `qp_gcd` returns q^min(k, val) times gcd(|c|, content)
+of the other side, and `qp_div_exact` shifts and divides the integers.
+Only a gcd of two non-monomials runs the primitive PRS.  Exact division in
+Z[q] is integer-only.
 """
 
 from __future__ import annotations
@@ -125,6 +128,11 @@ def qp_div_exact(a: QP, b: QP) -> QP:
     if not a:
         return QP_ZERO
     db, lb = len(b) - 1, b[-1]
+    if _mono_deg(b) >= 0:
+        # b = c*q^k: a shift and an exact integer division
+        if any(a[:db]) or any(x % lb for x in a[db:]):
+            raise ArithmeticError("inexact polynomial division")
+        return tuple(x // lb for x in a[db:])
     if len(a) <= db:
         raise ArithmeticError("inexact polynomial division")
     rem = list(a)
@@ -162,7 +170,22 @@ def _pseudo_rem(a: QP, b: QP) -> QP:
 
 
 def qp_gcd(a: QP, b: QP) -> QP:
-    """Primitive gcd (positive leading coefficient) via the primitive PRS."""
+    """gcd with positive leading coefficient: the primitive gcd times the
+    gcd of the contents.  Against a monomial c*q^k it is q^min(k, val) times
+    gcd(|c|, content) of the other side; otherwise the primitive PRS."""
+    for m, other in ((a, b), (b, a)):
+        k = _mono_deg(m)
+        if k >= 0:
+            if not other:
+                return (0,) * k + (abs(m[-1]),)
+            v, g = 0, abs(m[-1])
+            while v < k and not other[v]:
+                v += 1
+            for x in other[v:]:
+                if g == 1:
+                    break
+                g = math.gcd(g, x)
+            return (0,) * v + (g,)
     ca, cb = abs(qp_content(a)), abs(qp_content(b))
     a, b = qp_primitive(a), qp_primitive(b)
     if not a:

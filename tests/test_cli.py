@@ -199,6 +199,8 @@ def test_dump_command():
     ("--op", "Y"), ("--op", "G"), ("--op", "G1"), ("--op", "G11"),
     ("--op", "Y9", "--n", "2"), ("--op", "S2", "--n", "2"),
     ("--op", "G13", "--n", "2"), ("--op", "Y1", "--p", "q7"),
+    ("--op", "e0", "--n", "1", "--window=-1..-1"),
+    ("--op", "e0", "--n", "1", "--window=-1..3"),
 ])
 def test_dump_bad_input_exit_two(args):
     rc, _out, err = run("dump", *args)

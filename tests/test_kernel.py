@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qlzero.kernel import (
@@ -131,6 +133,18 @@ def test_persistence_round_trip():
     assert kb2.rank() == kb.rank()
     x = TensorPoly.monomial((PLUS, MINUS), (0, 0))
     assert kb.member(x) == kb2.member(x)
+
+
+# SHA-256 of the (N=2, D=3, HEC,FUS,HWT) kernel file; its rows carry both
+# q-monomial and cyclotomic denominators.  Speed work must keep it fixed.
+GOLDEN_N2_D3_FULL = "e0189cb1073b80da62c5c1407e2399a452e6c9c95bb8651225f25fbdfeca0321"
+
+
+def test_save_text_matches_golden_digest():
+    text = kernel_build(2, 3, ("HEC", "FUS", "HWT")).save_text()
+    dens = [row.split(" / ")[1] for row in text.splitlines() if " / " in row]
+    assert any(" + " not in d for d in dens) and any(" + " in d for d in dens)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_N2_D3_FULL
 
 
 def test_persistence_keeps_sector_caps():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,7 +167,11 @@ def test_div_exact_quotients():
 
 
 @pytest.mark.parametrize("a, b", [((1,), (2,)), ((1, 1), (1, 2)),
-                                  ((1,), (1, 1)), ((1, 0, 1), (1, 1))])
+                                  ((1,), (1, 1)), ((1, 0, 1), (1, 1)),
+                                  # monomial divisors: a term below q^k, and
+                                  # content that c does not divide
+                                  ((1, 2, 3), (0, 1)), ((5,), (0, 0, -1)),
+                                  ((0, 0, 4, 6), (0, 0, 4)), ((0, 3, 6), (0, -2))])
 def test_div_exact_rejects_quotients_outside_zq(a, b):
     with pytest.raises(ArithmeticError):
         qp_div_exact(a, b)
@@ -190,13 +195,52 @@ def test_div_exact_inverts_mul(a, b):
 # -- Q(q) arithmetic against a reference normalizer ----------------------------------
 
 
+def ref_div(a, b):
+    """a / b by long division over Fraction; ArithmeticError unless the
+    quotient lies in Z[q]."""
+    rem, quo = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= quo[k] * c
+    if any(rem) or any(f.denominator != 1 for f in quo):
+        raise ArithmeticError("inexact")
+    return qp_trim(int(f) for f in quo)
+
+
+def ref_gcd(a, b):
+    """gcd in Z[q] without qlzero: Euclid over Fraction coefficients, made
+    primitive with positive leading coefficient, times the gcd of the
+    contents."""
+    def rem(x, y):
+        x = list(x)
+        while len(x) >= len(y):
+            f, shift = x[-1] / y[-1], len(x) - len(y)
+            for i, c in enumerate(y):
+                x[shift + i] -= f * c
+            while x and not x[-1]:
+                x.pop()
+        return x
+
+    x, y = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while y:
+        x, y = y, rem(x, y)
+    content = math.gcd(math.gcd(*a), math.gcd(*b))
+    if not x:
+        return qp_trim([content])
+    scale = math.lcm(*(f.denominator for f in x))
+    ints = [int(f * scale) for f in x]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return tuple(content * (v // g) for v in ints)
+
+
 def ref_reduce(num, den):
-    """num/den in canonical form by the general route: primitive gcd, exact
-    division, integer content, positive leading coefficient of den."""
+    """num/den in canonical form by the general route: the reference gcd,
+    exact division, integer content, positive leading coefficient of den."""
     if not num:
         return QP_ZERO, QP_ONE
-    g = qp_gcd(num, den)
-    num, den = qp_div_exact(num, g), qp_div_exact(den, g)
+    g = ref_gcd(num, den)
+    num, den = ref_div(num, g), ref_div(den, g)
     c = math.gcd(math.gcd(*num), math.gcd(*den))
     if den[-1] < 0:
         c = -c
@@ -279,6 +323,46 @@ def test_normalize_matches_reference(nd):
 @settings(max_examples=300, deadline=None)
 def test_field_ops_match_reference(a, b):
     assert_field_ops_match(a, b)
+
+
+# -- the gcd and exact division against a monomial c*q^k -------------------------
+
+monomials = st.builds(lambda c, k: qp_monomial(k, c),
+                      st.integers(min_value=-12, max_value=12).filter(bool),
+                      st.integers(min_value=0, max_value=6))
+other_sides = st.one_of(numerators, cyclotomic_dens, polys)
+
+
+@given(monomials, other_sides)
+@settings(max_examples=300, deadline=None)
+def test_gcd_with_monomial_matches_reference(m, other):
+    assert qp_gcd(m, other) == ref_gcd(m, other)
+    assert qp_gcd(other, m) == ref_gcd(other, m)
+
+
+@given(monomials, other_sides)
+@settings(max_examples=300, deadline=None)
+def test_div_by_monomial_matches_reference(m, other):
+    assert qp_div_exact(qp_mul(other, m), m) == other
+    try:
+        want = ref_div(other, m)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            qp_div_exact(other, m)
+    else:
+        assert qp_div_exact(other, m) == want
+
+
+@pytest.mark.parametrize("a, b, g", [
+    ((0, 0, 0, 0, 0, 6, 6), (0, 0, -4), (0, 0, 2)),     # valuation above k
+    ((0, 3), (0, 0, 0, 6, 9), (0, 3)),                  # valuation below k
+    ((-3,), (6, 9), (3,)),                              # constants, c < 0
+    ((0, 5), QP_ZERO, (0, 5)), ((0, -5), QP_ZERO, (0, 5)),
+    ((0, 0, 4), (2, 0, -2), (2,)),                      # cyclotomic other side
+    ((0, 2), (1, 1), (1,)),
+])
+def test_gcd_with_monomial_fixed_cases(a, b, g):
+    assert qp_gcd(a, b) == qp_gcd(b, a) == ref_gcd(a, b) == g
 
 
 def test_field_ops_fixed_cases():
