@@ -8,7 +8,8 @@ of the affine Hecke algebra); composition is rightmost-first throughout:
 
 with p^{theta_j} the scale substitution z_j := p z_j.  The inverse cycle is
 the substitution f(z_1,...,z_N) -> f(z_2,...,z_N, p^{-1} z_1), which is how
-the level-0 generators move modes around.
+the level-0 generators move modes around.  The relation checks apply Y
+through `y_by_monomial`, which holds each monomial image for one check.
 
 The module also carries a tiny calculus of operators of the form
 sum_w (rational function) * (variable permutation), enough to verify the
@@ -23,6 +24,7 @@ import itertools
 
 from .hecke import G_poly, S_apply
 from .laurent import LaurentPoly, lp_permute, lp_scale, lp_swap
+from .linalg import accumulate
 from .report import CheckReport, check, timer
 from .scalars import QQ_ONE, RatFuncQ, qpow
 from .tensor import MINUS, PLUS, TensorPoly, singlet_contract, singlet_vector
@@ -72,6 +74,24 @@ def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1,
     return out
 
 
+def y_by_monomial(p: RatFuncQ):
+    """The map Y(f, j, e=1) = Y_poly(f, j, p, e), summed over the monomials of
+    f; each monomial image is computed once and kept in a dict that the map
+    owns, so it lives as long as the caller holds the map (one check)."""
+    images: dict = {}
+
+    def Y(f: LaurentPoly, j: int, e: int = 1) -> LaurentPoly:
+        out: dict = {}
+        for expo, c in f.terms.items():
+            key = (expo, j, e)
+            img = images.get(key)
+            if img is None:
+                img = images[key] = Y_poly(LaurentPoly.monomial(f.arity, expo), j, p, e)
+            accumulate(out, img.terms.items(), None if c == QQ_ONE else c)
+        return LaurentPoly(f.arity, out)
+    return Y
+
+
 def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1,
             active: int | None = None) -> TensorPoly:
     """Y on the coefficients of a tensor-valued polynomial."""
@@ -86,14 +106,15 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
     rep = CheckReport(f"affine hecke suite N={N}")
     window = window or Window(N, -3)
     monos = [LaurentPoly.monomial(N, e) for e in window.exponents()]
+    Y = y_by_monomial(p)
 
     with timer() as t:
         bad = 0
         for f in monos:
-            ys = {j: Y_poly(f, j, p) for j in range(1, N + 1)}
+            ys = {j: Y(f, j) for j in range(1, N + 1)}
             for j in range(1, N + 1):
                 for k in range(j + 1, N + 1):
-                    if Y_poly(ys[k], j, p) - Y_poly(ys[j], k, p):
+                    if Y(ys[k], j) - Y(ys[j], k):
                         bad += 1
     check(rep, f"affine.commute.N{N}", "Y_j Y_k = Y_k Y_j", bad == 0,
           f"{len(monos)} monomials, p={p!r}", bad, t.seconds)
@@ -102,8 +123,8 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
         bad = 0
         for f in monos:
             for j in range(1, N):
-                l = G_poly(Y_poly(G_poly(f, j, j + 1), j, p), j, j + 1)
-                if l - Y_poly(f, j + 1, p):
+                l = G_poly(Y(G_poly(f, j, j + 1), j), j, j + 1)
+                if l - Y(f, j + 1):
                     bad += 1
     check(rep, f"affine.crossing.N{N}", "G Y_j G = Y_{j+1}", bad == 0,
           "", bad, t.seconds)
@@ -115,18 +136,21 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
                 for k in range(1, N + 1):
                     if k in (j, j + 1):
                         continue
-                    if G_poly(Y_poly(f, k, p), j, j + 1) - Y_poly(G_poly(f, j, j + 1), k, p):
+                    if G_poly(Y(f, k), j, j + 1) - Y(G_poly(f, j, j + 1), k):
                         bad += 1
-    check(rep, f"affine.far.N{N}", "[G_{j,j+1}, Y_k] = 0 for k off the pair",
-          bad == 0, "", bad, t.seconds)
+    relation = "[G_{j,j+1}, Y_k] = 0 for k off the pair"
+    if N < 3:
+        rep.skip(f"affine.far.N{N}", relation, "no slot off the pair")
+    else:
+        check(rep, f"affine.far.N{N}", relation, bad == 0, "", bad, t.seconds)
 
     with timer() as t:
         bad = 0
         for f in monos[: max(1, len(monos) // 3)]:
             for j in range(1, N + 1):
-                if Y_poly(Y_poly(f, j, p), j, p, -1) - f:
+                if Y(Y(f, j), j, -1) - f:
                     bad += 1
-                if Y_poly(Y_poly(f, j, p, -1), j, p) - f:
+                if Y(Y(f, j, -1), j) - f:
                     bad += 1
     check(rep, f"affine.inverse.N{N}", "Y_j Y_j^{-1} = 1", bad == 0,
           "", bad, t.seconds)
@@ -138,7 +162,7 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
         for f in monos:
             e0 = next(iter(f.support()))
             for j in range(1, N + 1):
-                g = Y_poly(f, j, p)
+                g = Y(f, j)
                 for e in g.support():
                     if sum(e) != sum(e0) or max(e) > 0:
                         bad += 1

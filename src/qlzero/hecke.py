@@ -181,8 +181,12 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
                     l, r = _braid(x, j, S_apply), _braid_rev(x, j, S_apply)
                     if l - r:
                         bad += 1
-    check(rep, f"hecke.braid.S.N{N}", "braid and far commutation", bad == 0,
-          "", bad, t.seconds)
+    if N < 3:
+        rep.skip(f"hecke.braid.S.N{N}", "braid and far commutation",
+                 "braid needs three slots")
+    else:
+        check(rep, f"hecke.braid.S.N{N}", "braid and far commutation", bad == 0,
+              "", bad, t.seconds)
 
     # --- inverse really inverts
     with timer() as t:
@@ -219,8 +223,12 @@ def hecke_suite(N: int, window: Window | None = None) -> CheckReport:
                     if (G_poly(G_poly(f, j, j + 1), k, k + 1)
                             - G_poly(G_poly(f, k, k + 1), j, j + 1)):
                         bad += 1
-    check(rep, f"hecke.braid.G.N{N}", "braid and far commutation", bad == 0,
-          "", bad, t.seconds)
+    if N < 3:
+        rep.skip(f"hecke.braid.G.N{N}", "braid and far commutation",
+                 "braid needs three slots")
+    else:
+        check(rep, f"hecke.braid.G.N{N}", "braid and far commutation", bad == 0,
+              "", bad, t.seconds)
 
     # --- G locality over window monomials
     with timer() as t:

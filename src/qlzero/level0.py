@@ -30,12 +30,12 @@ import time
 from collections import Counter
 from typing import Callable
 
-from .affine import Y_poly
+from .affine import Y_poly, y_by_monomial
 from .hecke import G_poly, S_apply
 from .laurent import LaurentPoly
 from .linalg import accumulate
 from .locality import record_cone
-from .report import CheckReport, CheckResult, check, timer
+from .report import CheckReport, check, timer
 from .scalars import QQ_ONE, RatFuncQ, qpow
 from .series import P_DEFAULT, TWIST, twisted_sum
 from .tensor import TensorPoly, e_op, f_op, sign_strings, t_diag, uq_apply
@@ -124,21 +124,15 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
 
     Both sides of the identity (and its raising-generator mirror) are
     expanded on every sign string and window monomial; the difference must
-    vanish identically.  Far slots are checked to commute outright.
+    vanish identically.  Far slots are checked to commute outright.  Every
+    Y goes through one `y_by_monomial` map, so each monomial image is
+    computed once per check.
     """
     rep = CheckReport(f"exchange identity N={N}, p={p!r}")
     window = window or Window(N, -3)
     monos = list(window.exponents())
     strs = sign_strings(N)
-    # Y images recur across adjacent pairs and in the far block; key
-    # (m, k, e) for Y_k^e z^m and (m, j, k, e) for Y_k^e G_{j,j+1} z^m
-    y_images: dict[tuple, LaurentPoly] = {}
-
-    def y_image(key: tuple, f: LaurentPoly, k: int, e: int) -> LaurentPoly:
-        out = y_images.get(key)
-        if out is None:
-            out = y_images[key] = Y_poly(f, k, p, e)
-        return out
+    Y = y_by_monomial(p)
 
     for j in range(1, N):
         pair = (j, j + 1)
@@ -153,31 +147,32 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
                 #   - S op^{(j+1)} x . A_j - S op^{(j)} x . A_{j+1}
                 #   + op^{(j+1)} x . C_j + op^{(j)} x . C_{j+1},
                 # A_k = Y_k^e z^m, B_k = G A_k, C_k = Y_k^e G z^m.  The slot
-                # tensors depend on the sign string only.
-                slots = []
+                # tensors depend on the sign string only and have scalar
+                # coefficients: rows (output string, index into imgs =
+                # A_j, A_{j+1}, B_j, B_{j+1}, C_j, C_{j+1}, scalar or None).
+                rows = []
                 for e in strs:
                     x = TensorPoly.basis(e, LaurentPoly.one(N))
                     sx = S_apply(x, j)
                     ox = {k: op(x, k) for k in pair}
-                    slots.append((
-                        {j: op(sx, j) - S_apply(ox[j + 1], j),
-                         j + 1: op(sx, j + 1) - S_apply(ox[j], j)},
-                        {k: -ox[k] for k in pair},
-                        {j: ox[j + 1], j + 1: ox[j]}))
+                    slot = (op(sx, j) - S_apply(ox[j + 1], j),
+                            op(sx, j + 1) - S_apply(ox[j], j),
+                            -ox[j], -ox[j + 1], ox[j + 1], ox[j])
+                    terms = [(out, i, f.coeff((0,) * N)) for i, ten in enumerate(slot)
+                             for out, f in ten.terms.items()]
+                    rows.append([(out, i, None if c == QQ_ONE else c) for out, i, c in terms])
                 bad = 0
                 for m in monos:
                     mono = LaurentPoly.monomial(N, m)
+                    A = [Y(mono, k, ex) for k in pair]
                     gm = G_poly(mono, j, j + 1, 1)
-                    A = {k: y_image((m, k, ex), mono, k, ex) for k in pair}
-                    B = {k: G_poly(A[k], j, j + 1, 1) for k in pair}
-                    C = {k: y_image((m, j, k, ex), gm, k, ex) for k in pair}
-                    for tA, tB, tC in slots:
-                        diff = TensorPoly.zero(N, N)
-                        for k in pair:
-                            diff += _pair(tA[k], A[k])
-                            diff += _pair(tB[k], B[k])
-                            diff += _pair(tC[k], C[k])
-                        if diff:
+                    imgs = (A + [G_poly(a, j, j + 1, 1) for a in A]
+                            + [Y(gm, k, ex) for k in pair])
+                    for string_rows in rows:
+                        diff: dict = {}
+                        for out, i, c in string_rows:
+                            accumulate(diff.setdefault(out, {}), imgs[i].terms.items(), c)
+                        if any(diff.values()):
                             bad += 1
             check(rep, f"rhosg.{gen}.j{j}.N{N}", relation, bad == 0, detail, bad,
                   t.seconds)
@@ -191,27 +186,19 @@ def rhosg_check(N: int, p: RatFuncQ = P_DEFAULT, window: Window | None = None) -
                     continue
                 for m in monos[:: max(1, len(monos) // 8)]:
                     mono = LaurentPoly.monomial(N, m)
-                    if (Y_poly(G_poly(mono, j, j + 1), k, p, -1)
-                            - G_poly(y_image((m, k, -1), mono, k, -1), j, j + 1)):
+                    if (Y(G_poly(mono, j, j + 1), k, -1)
+                            - G_poly(Y(mono, k, -1), j, j + 1)):
                         bad += 1
                 for e in strs:
                     x = TensorPoly.basis(e, LaurentPoly.one(N))
                     if S_apply(f_op(x, k), j) - f_op(S_apply(x, j), k):
                         bad += 1
-    check(rep, f"rhosg.far.N{N}", "far slots commute through the identity",
-          bad == 0, "", bad, t.seconds)
+    relation = "far slots commute through the identity"
+    if N < 3:
+        rep.skip(f"rhosg.far.N{N}", relation, "no slot off the pair")
+    else:
+        check(rep, f"rhosg.far.N{N}", relation, bad == 0, "", bad, t.seconds)
     return rep
-
-
-def _pair(x: TensorPoly, f: LaurentPoly) -> TensorPoly:
-    """Replace every coefficient c (a scalar multiple of 1) by c*f."""
-    out = {}
-    for e, p in x.terms.items():
-        c = p.coeff((0,) * p.arity)
-        r = f.scale_coeffs(c)
-        if r:
-            out[e] = r
-    return TensorPoly(x.arity, out, nvars=f.arity)
 
 
 _THREE = qpow(2) + QQ_ONE + qpow(-2)          # [3] in the Serre relation
@@ -290,9 +277,8 @@ def chevalley_check(N: int, kb, p: RatFuncQ = P_DEFAULT) -> CheckReport:
             ("bracket", "[E0, F0] = (T0 - T0^{-1})/(q - q^{-1}) on the quotient", ""),
             ("serre", "degree-4 relation on the quotient (two-slot spot check)", "")):
         if block == "serre" and N > 2:
-            rep.add(CheckResult(f"chevalley.serre.N{N}",
-                                "degree-4 relation on the quotient", "skipped",
-                                "checked at two slots only; see report header"))
+            rep.skip(f"chevalley.serre.N{N}", "degree-4 relation on the quotient",
+                     "checked at two slots only; see report header")
         else:
             check(rep, f"chevalley.{block}.N{N}", relation, bad[block] == 0, detail,
                   bad[block], secs[block])

@@ -42,6 +42,10 @@ class CheckReport:
     def add(self, result: CheckResult):
         self.results.append(result)
 
+    def skip(self, name: str, relation: str, detail: str):
+        """Record a check that has nothing to observe at this size."""
+        self.add(CheckResult(name, relation, "skipped", detail))
+
     def extend(self, other: "CheckReport"):
         self.results.extend(other.results)
 

@@ -10,10 +10,11 @@ from qlzero.affine import (
     op_B,
     op_C,
     op_G,
+    y_by_monomial,
 )
 from qlzero.hecke import G_poly
 from qlzero.laurent import LaurentPoly, lp_scale
-from qlzero.scalars import qpow
+from qlzero.scalars import QQ_ONE, qpow, qq_int
 from qlzero.tensor import PLUS, TensorPoly
 from qlzero.windows import Window
 
@@ -66,6 +67,31 @@ def test_y_inverse_round_trip():
         f = rand_mono(rng, 3, span=2)
         for j in (1, 2, 3):
             assert Y_poly(Y_poly(f, j, P), j, P, -1) == f
+
+
+def test_y_by_monomial_matches_y_poly():
+    # multi-term inputs with non-unit coefficients and cyclotomic
+    # denominators, plus a bare monomial (the unscaled path)
+    coeffs = (qq_int(3), (qpow(2) + QQ_ONE).inv(), qpow(-1) - qq_int(2),
+              (qpow(1) - qpow(-1)).inv())
+    rng = random.Random(15)
+    for n in (2, 3):
+        fs = [rand_mono(rng, n)]
+        for _ in range(3):
+            f = LaurentPoly.zero(n)
+            for c in coeffs:
+                f = f + rand_mono(rng, n).scale_coeffs(c)
+            fs.append(f)
+        Y = y_by_monomial(P)
+        for f in fs:
+            for j in range(1, n + 1):
+                for e in (1, -1):
+                    want = Y_poly(f, j, P, e)
+                    first = Y(f, j, e)
+                    kept = dict(first.terms)
+                    assert first == want
+                    assert Y(f, j, e) == want          # served from held images
+                    assert first.terms == kept
 
 
 def test_y_apply_on_tensor_coefficients():

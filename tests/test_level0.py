@@ -1,5 +1,8 @@
 import pytest
 
+from qlzero import level0
+from qlzero.affine import affine_hecke_suite
+from qlzero.hecke import hecke_suite
 from qlzero.kernel import kernel_build, vec_to_tensor
 from qlzero.laurent import LaurentPoly
 from qlzero.level0 import (
@@ -96,6 +99,28 @@ def test_rhosg_exact_small_windows():
         assert rep.ok, rep.lines()
     rep = rhosg_check(3, qpow(4), Window(3, -2))
     assert rep.ok, rep.lines()
+
+
+def test_rhosg_observes_a_missing_s(monkeypatch):
+    # with S replaced by the identity the exchange identity must break on
+    # both generators, in 27 of the 4 strings x 9 monomials
+    monkeypatch.setattr(level0, "S_apply", lambda x, j: x)
+    got = {r.name: (r.status, r.residual)
+           for r in rhosg_check(2, qpow(4), Window(2, -2)).results}
+    assert got["rhosg.e0.j1.N2"] == ("fail", 27)
+    assert got["rhosg.f0.j1.N2"] == ("fail", 27)
+
+
+def test_checks_with_nothing_to_observe_skip():
+    # braid needs three slots and far commutation a slot off the pair: at
+    # N=2 these four checks see nothing and say so; at N=3 they run
+    p = qpow(4)
+    for N, want in ((2, "skipped"), (3, "pass")):
+        w = Window(N, -1)
+        status = {r.name: r.status for r in hecke_suite(N, w).results
+                  + affine_hecke_suite(N, p, w).results + rhosg_check(N, p, w).results}
+        for name in ("hecke.braid.S", "hecke.braid.G", "affine.far", "rhosg.far"):
+            assert status[f"{name}.N{N}"] == want, name
 
 
 def test_evaluation_module_relations():
