@@ -31,44 +31,39 @@ from .tensor import MINUS, PLUS, TensorPoly, singlet_contract, singlet_vector
 from .windows import Window
 
 
-def Z_apply(f: LaurentPoly, p: RatFuncQ, active: int | None = None) -> LaurentPoly:
-    """Z = K_{1,2}...K_{1,N} p^{theta_1}: f goes to f(p z_N, z_1, ..., z_{N-1}).
-
-    Only the first `active` variables (default all) take part; the rest are
-    spectators."""
+def Z_apply(f: LaurentPoly, p: RatFuncQ) -> LaurentPoly:
+    """Z = K_{1,2}...K_{1,N} p^{theta_1}: f goes to f(p z_N, z_1, ..., z_{N-1})."""
     out = lp_scale(f, 1, p)
-    for k in range(f.arity if active is None else active, 1, -1):
+    for k in range(f.arity, 1, -1):
         out = lp_swap(out, 1, k)
     return out
 
 
-def Z_inv_apply(f: LaurentPoly, p: RatFuncQ, active: int | None = None) -> LaurentPoly:
+def Z_inv_apply(f: LaurentPoly, p: RatFuncQ) -> LaurentPoly:
     """f goes to f(z_2, ..., z_N, p^{-1} z_1): the cyclic mode rotation."""
     out = f
-    for k in range(2, (f.arity if active is None else active) + 1):
+    for k in range(2, f.arity + 1):
         out = lp_swap(out, 1, k)
     return lp_scale(out, 1, p.inv())
 
 
-def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1,
-           active: int | None = None) -> LaurentPoly:
-    """Y_j^{+-1} on a Laurent polynomial, acting on its first `active`
-    variables (default all; the rest are spectators)."""
-    N = f.arity if active is None else active
+def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1) -> LaurentPoly:
+    """Y_j^{+-1} on a Laurent polynomial in N = f.arity variables."""
+    N = f.arity
     if not (1 <= j <= N):
         raise IndexError("Y index out of range")
     if exponent > 0:
         out = f
         for k in range(j - 1, 0, -1):        # G_{j-1,j} first, G_{1,2} last
             out = G_poly(out, k, k + 1, 1)
-        out = Z_apply(out, p, N)
+        out = Z_apply(out, p)
         for k in range(N - 1, j - 1, -1):    # G_{N-1,N}^{-1} first
             out = G_poly(out, k, k + 1, -1)
         return out
     out = f
     for k in range(j, N):                    # G_{j,j+1} first, G_{N-1,N} last
         out = G_poly(out, k, k + 1, 1)
-    out = Z_inv_apply(out, p, N)
+    out = Z_inv_apply(out, p)
     for k in range(1, j):                    # G_{1,2}^{-1} first
         out = G_poly(out, k, k + 1, -1)
     return out
@@ -92,10 +87,9 @@ def y_by_monomial(p: RatFuncQ):
     return Y
 
 
-def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1,
-            active: int | None = None) -> TensorPoly:
+def Y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1) -> TensorPoly:
     """Y on the coefficients of a tensor-valued polynomial."""
-    return x.map_coeffs(lambda f: Y_poly(f, j, p, exponent, active))
+    return x.map_coeffs(lambda f: Y_poly(f, j, p, exponent))
 
 
 # -- relation suites ---------------------------------------------------------
@@ -116,8 +110,11 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
                 for k in range(j + 1, N + 1):
                     if Y(ys[k], j) - Y(ys[j], k):
                         bad += 1
-    check(rep, f"affine.commute.N{N}", "Y_j Y_k = Y_k Y_j", bad == 0,
-          f"{len(monos)} monomials, p={p!r}", bad, t.seconds)
+    if N < 2:
+        rep.skip(f"affine.commute.N{N}", "Y_j Y_k = Y_k Y_j", "no pair of slots")
+    else:
+        check(rep, f"affine.commute.N{N}", "Y_j Y_k = Y_k Y_j", bad == 0,
+              f"{len(monos)} monomials, p={p!r}", bad, t.seconds)
 
     with timer() as t:
         bad = 0
@@ -126,8 +123,11 @@ def affine_hecke_suite(N: int, p: RatFuncQ, window: Window | None = None) -> Che
                 l = G_poly(Y(G_poly(f, j, j + 1), j), j, j + 1)
                 if l - Y(f, j + 1):
                     bad += 1
-    check(rep, f"affine.crossing.N{N}", "G Y_j G = Y_{j+1}", bad == 0,
-          "", bad, t.seconds)
+    if N < 2:
+        rep.skip(f"affine.crossing.N{N}", "G Y_j G = Y_{j+1}", "no pair of slots")
+    else:
+        check(rep, f"affine.crossing.N{N}", "G Y_j G = Y_{j+1}", bad == 0,
+              "", bad, t.seconds)
 
     with timer() as t:
         bad = 0

@@ -209,6 +209,7 @@ def cmd_check(args) -> int:
         parse_job(job["suite"], job)
     cache = cache_dir(args)
     full = CheckReport("qlzero")
+    LEDGER.clear()
     for job in jobs:
         rep = run_suite(job["suite"], job, cache)
         full.extend(rep)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .kernel import (KernelBasis, fusion_prefactor, fusion_relation, fusion_weight,
                      specialize_adjacent)
-from .locality import record_tensor
 from .report import CheckReport, check, timer
 from .scalars import RatFuncQ, qpow
 from .series import expanded_e0_sym, series_e0, series_f0
@@ -26,20 +25,16 @@ from .tensor import MINUS, PLUS, TensorPoly, sign_strings, singlet_contract
 P_FUSION = qpow(4)
 
 
-def fuse(x: TensorPoly, j: int, prefactors: bool = True) -> TensorPoly:
+def fuse(x: TensorPoly, j: int) -> TensorPoly:
     """Contract slots (j, j+1) on the fusion locus with the stated channel
-    weights; optionally attach the polynomial prefactors.  The result has
-    two fewer slots and keeps the j-th variable as a spectator."""
+    weights and attach the polynomial prefactors.  The result has two fewer
+    slots and keeps the j-th variable as a spectator."""
     if x.arity < 2:
         raise ValueError("fusion needs at least two slots")
     N = x.arity
     out = singlet_contract(specialize_adjacent(x, j), j,
                            {a: fusion_weight(N, j, a) for a in (PLUS, MINUS)})
-    if prefactors and out:
-        pre = out
-        out = out.mul_poly(fusion_prefactor(N, j, out.nvars))
-        record_tensor("fuse_prefactor", pre, out)
-    return out
+    return out.mul_poly(fusion_prefactor(N, j, out.nvars))
 
 
 # -- statement-level checks --------------------------------------------------
@@ -67,7 +62,7 @@ def rhof_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:
             n_checked = 0
             n_bad = 0
             for eps in sign_strings(N):
-                diff = fusion_relation(eps, j, D, lambda X, n: series(X, p, n))
+                diff = fusion_relation(eps, j, D, lambda X: series(X, p))
                 for expo, vec in diff.extract_all().items():
                     # a target of exponent sum t draws on window symbols of
                     # degree t on both sides; complete through t = D
@@ -98,8 +93,8 @@ def e0_forms_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckRepo
         ok = True
         for eps in sign_strings(N):
             X = TensorPoly.window(eps, D)
-            direct = series_e0(X, p, N)
-            expanded = expanded_e0_sym(X, p, N).scale(qpow(N - 1))
+            direct = series_e0(X, p)
+            expanded = expanded_e0_sym(X, p).scale(qpow(N - 1))
             diff = direct - expanded
             for expo, vec in diff.extract_all().items():
                 if not vec or sum(expo) > D:

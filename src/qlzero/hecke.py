@@ -120,7 +120,7 @@ def R_numerator_op(x: TensorPoly, j: int, k: int, a: int, b: int) -> TensorPoly:
     return S_apply(x, j, k).mul_poly(zb) - S_inv_apply(x, j, k).mul_poly(za)
 
 
-def R_matrix_entries(z: LaurentPoly | None = None):
+def R_matrix_entries():
     """The explicit two-slot R-matrix table, cross-multiplied by (1 - q^2 z).
 
     Returns {channel_in: [(channel_out, numerator poly in one variable)]}

@@ -156,13 +156,13 @@ def fusion_relation(eps: tuple, j: int, max_degree: int, apply=None) -> TensorPo
     carry opposite signs, the window of the reduced string with the
     spectator variable, the prefactor and the channel weight attached.  The
     reduced window is shallower by the prefactor degree n-2.  With
-    apply(series, arity) given, it acts on both windows first.
+    apply(series) given, it acts on both windows first.
     """
     n = len(eps)
 
     def window(s, degree):
         w = TensorPoly.window(s, degree)
-        return w if apply is None else apply(w, len(s))
+        return w if apply is None else apply(w)
 
     lhs = specialize_adjacent(window(eps, max_degree), j)
     if eps[j - 1] + eps[j]:

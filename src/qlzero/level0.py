@@ -34,7 +34,6 @@ from .affine import Y_poly, y_by_monomial
 from .hecke import G_poly, S_apply
 from .laurent import LaurentPoly
 from .linalg import accumulate
-from .locality import record_cone
 from .report import CheckReport, check, timer
 from .scalars import QQ_ONE, RatFuncQ, qpow
 from .series import P_DEFAULT, TWIST, twisted_sum
@@ -54,19 +53,19 @@ _Y_IMAGE_CACHE: dict = {}
 
 
 def _y_transpose_table(nvars: int, j: int, p: RatFuncQ, exponent: int,
-                       total: int, active: int) -> dict:
+                       total: int) -> dict:
     """Transposed Y on one cone cell: {source mode: [(target mode, coeff)]}.
 
     coeff = [z^{-source}] Y_j^{e} z^{-target}; source modes with a positive
     component are dropped (they die under the highest-weight cut).
     """
-    key = (nvars, j, p, exponent, total, active)
+    key = (nvars, j, p, exponent, total)
     table = _Y_IMAGE_CACHE.get(key)
     if table is None:
         table = {}
         for m in cone_cell(nvars, total):
             mono = LaurentPoly.monomial(nvars, tuple(-x for x in m))
-            img = Y_poly(mono, j, p, exponent, active)
+            img = Y_poly(mono, j, p, exponent)
             for expo, c in img.terms.items():
                 src = tuple(-x for x in expo)
                 if max(src) <= 0:
@@ -87,7 +86,6 @@ def hat_y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1) -> Tensor
     the transpose of Y in the series basis z^{-m}.  Y preserves the total
     degree, so the sum runs over the cone cell of mu.
     """
-    N = x.arity
     nv = x.nvars
     out_terms = {}
     for e, poly in x.terms.items():
@@ -95,25 +93,21 @@ def hat_y_apply(x: TensorPoly, j: int, p: RatFuncQ, exponent: int = 1) -> Tensor
         for expo, w in poly.terms.items():
             if max(expo) > 0:
                 raise ValueError("transposed action needs non-positive modes")
-            accumulate(acc, _y_transpose_table(nv, j, p, exponent, sum(expo), N)
+            accumulate(acc, _y_transpose_table(nv, j, p, exponent, sum(expo))
                        .get(expo, ()), w)
         if acc:
             out_terms[e] = LaurentPoly(nv, acc)
-    return TensorPoly(N, out_terms, nvars=nv)
+    return TensorPoly(x.arity, out_terms, nvars=nv)
 
 
 def e0_apply(x: TensorPoly, p: RatFuncQ = P_DEFAULT) -> TensorPoly:
     """The twisted affine lowering generator on a mode window."""
-    out = twisted_sum(x, "e0", x.arity, lambda y, j, ex: hat_y_apply(y, j, p, ex))
-    record_cone("e0", out)
-    return out
+    return twisted_sum(x, "e0", lambda y, j, ex: hat_y_apply(y, j, p, ex))
 
 
 def f0_apply(x: TensorPoly, p: RatFuncQ = P_DEFAULT) -> TensorPoly:
     """The twisted affine raising generator on a mode window."""
-    out = twisted_sum(x, "f0", x.arity, lambda y, j, ex: hat_y_apply(y, j, p, ex))
-    record_cone("f0", out)
-    return out
+    return twisted_sum(x, "f0", lambda y, j, ex: hat_y_apply(y, j, p, ex))
 
 
 # -- checks ------------------------------------------------------------------

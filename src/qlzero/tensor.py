@@ -34,7 +34,6 @@ from typing import Callable, Iterable
 
 from .laurent import LaurentPoly
 from .linalg import accumulate
-from .locality import LEDGER
 from .scalars import QQ_ONE, RatFuncQ, eta_expand, qpow, qq_int
 from .windows import cone_exponents
 
@@ -256,8 +255,6 @@ def uq_apply(gen: str, x: TensorPoly) -> TensorPoly:
         if shift:
             y = y.map_coeffs(lambda p: _shift_mode(p, j, shift))
         out += y
-    if gen == "e0aff" and out:
-        LEDGER.record_shift("uq.e0aff", 1)
     return out
 
 

@@ -105,6 +105,17 @@ def test_suite_with_three_scale_choices():
         assert rep.ok, rep.lines()
 
 
+def test_checks_without_a_pair_of_slots_skip():
+    # one slot has no pair for commutation or crossing: at N=1 those two say
+    # so while the inverse and cone checks still run; at N=2 all four run
+    for N, want in ((1, "skipped"), (2, "pass")):
+        status = {r.name: r.status for r in affine_hecke_suite(N, P, Window(N, -2)).results}
+        for name in ("commute", "crossing"):
+            assert status[f"affine.{name}.N{N}"] == want, name
+        for name in ("inverse", "cone"):
+            assert status[f"affine.{name}.N{N}"] == "pass", name
+
+
 def test_conjugated_quadratic_relation():
     # Y G Y^{-1} still satisfies the quadratic relation
     rng = random.Random(10)

@@ -205,3 +205,19 @@ def test_dump_command():
 def test_dump_bad_input_exit_two(args):
     rc, _out, err = run("dump", *args)
     assert rc == 2 and "Traceback" not in err, err
+
+
+def test_ledger_scoped_to_one_check(tmp_path):
+    # two checks in one process: the hecke suite records no mode shift, so
+    # its report must not show what the rhof run before it observed
+    from qlzero.cli import main
+
+    margins = []
+    for i, args in enumerate((("rhof", "--n", "2", "--window=-2..0"),
+                              ("hecke", "--n", "2", "--window=-1..0"))):
+        out = tmp_path / f"{i}.jsonl"
+        assert main(["check", "--suite", *args, "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in out.read_text().splitlines()]
+        margins += [r["detail"] for r in recs if r["name"] == "locality.margins"]
+    assert "[series_e0:0, series_f0:0]" in margins[0]
+    assert "[none observed]" in margins[1]

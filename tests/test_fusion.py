@@ -54,7 +54,7 @@ def test_rhof_triplet_channel_kills_both_sides():
     # must already be a kernel member
     kb = kernel_build(2, 3)
     X = TensorPoly.window((PLUS, PLUS), 3)
-    lhs = specialize_adjacent(series_e0(X, qpow(4), 2), 1)
+    lhs = specialize_adjacent(series_e0(X, qpow(4)), 1)
     for expo, vec in lhs.extract_all().items():
         if vec and sum(expo) <= 3:
             assert kb.member(vec)

@@ -72,8 +72,10 @@ def test_report_roundtrip_and_summary():
 
 def test_locality_ledger_margins():
     led = LocalityLedger()
-    led.record_shift("G", 0)
+    led.record_shift("series_e0", 0)
     assert led.ok
-    led.record_shift("G", 2)
+    led.record_shift("series_e0", 2)
     assert not led.ok
-    assert "G" in led.summary()
+    assert "series_e0" in led.summary()
+    with pytest.raises(KeyError):
+        led.record_shift("G", 0)
