@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .kernel import (KernelBasis, iter_hec_generators, sector_caps, sector_shift,
                      specialize_adjacent)
-from .report import CheckReport, check, timer
+from .report import CheckReport, record, timer
 from .tensor import TensorPoly, sign_strings
 
 
@@ -129,10 +129,9 @@ def sector_model_check(N: int, max_degree: int) -> CheckReport:
         for (e, w), cnt in sorted(got.items()):
             if cnt != sector_count(N, e, w):
                 bad.append((e, w, cnt, sector_count(N, e, w)))
-    check(rep, f"characters.sector.N{N}",
-          "two-partition count equals pure-sector quotient rank",
-          not bad, f"{len(got)} cells" + (f"; first mismatch {bad[0]}" if bad else ""),
-          len(bad), t.seconds)
+    record(rep, f"characters.sector.N{N}",
+           "two-partition count equals pure-sector quotient rank", len(got), len(bad),
+           f"{len(got)} cells" + (f"; first mismatch {bad[0]}" if bad else ""), t.seconds)
     return rep
 
 
@@ -186,10 +185,9 @@ def character_check() -> CheckReport:
         res = graded_character(d_max, n_max)
         pinned = (res["table"].get((0, 0), 0) + res["table"].get((0, 1), 0) == 2
                   and sum(res["table"].get((1, w), 0) for w in (-2, 0, 2)) == 3)
-    check(rep, f"characters.table.d{d_max}",
-          "quotient graded dimensions equal the level-1 oracle",
-          res["agree"] and not res["truncated"] and pinned,
-          f"{len(res['table'])} occupied cells, sectors <= {n_max}"
-          + ("; TRUNCATED" if res["truncated"] else ""),
-          0 if res["agree"] else 1, t.seconds)
+    record(rep, f"characters.table.d{d_max}",
+           "quotient graded dimensions equal the level-1 oracle", len(res["table"]),
+           not (res["agree"] and not res["truncated"] and pinned),
+           f"{len(res['table'])} occupied cells, sectors <= {n_max}"
+           + ("; TRUNCATED" if res["truncated"] else ""), t.seconds)
     return rep

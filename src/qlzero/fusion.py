@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .kernel import (KernelBasis, fusion_prefactor, fusion_relation, fusion_weight,
                      specialize_adjacent)
-from .report import CheckReport, check, timer
+from .report import CheckReport, record, timer
 from .scalars import RatFuncQ, qpow
 from .series import expanded_e0_sym, series_e0, series_f0
 from .tensor import MINUS, PLUS, TensorPoly, sign_strings, singlet_contract
@@ -52,7 +52,8 @@ def rhof_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:
 
     At p = q^4 each generator gives the check rhof.{gen}.N{N}.  At any other
     p it gives the negative control rhof.{gen}.control.N{N}, which passes
-    exactly when at least one coefficient fails membership.
+    exactly when at least one coefficient fails membership (so a control that
+    compared nothing fails).
     """
     rep = CheckReport(f"fusion compatibility N={N}, p={p!r}")
     D = kb.max_degree
@@ -72,36 +73,37 @@ def rhof_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:
                     if not kb.member(vec):
                         n_bad += 1
         if p == P_FUSION:
-            check(rep, f"rhof.{gen}.N{N}",
-                  "specialization of the twisted generator matches the fused window",
-                  n_bad == 0, f"{n_checked} coefficients, p={p!r}", n_bad, t.seconds)
+            record(rep, f"rhof.{gen}.N{N}",
+                   "specialization of the twisted generator matches the fused window",
+                   n_checked, n_bad, f"{n_checked} coefficients, p={p!r}", t.seconds)
         else:
-            check(rep, f"rhof.{gen}.control.N{N}",
-                  "wrong scale parameter must break fusion compatibility",
-                  n_bad > 0, f"{n_bad}/{n_checked} coefficients fail, p={p!r}",
-                  0 if n_bad > 0 else 1, t.seconds)
+            record(rep, f"rhof.{gen}.control.N{N}",
+                   "wrong scale parameter must break fusion compatibility",
+                   n_checked, n_bad == 0, f"{n_bad}/{n_checked} coefficients fail, p={p!r}",
+                   t.seconds)
     return rep
 
 
-def e0_forms_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:
-    """The direct Y-form of E0 agrees with its S/G-chain expansion modulo
-    the exchange kernel kb (exactly at one slot, where both collapse)."""
+def e0_forms_check(N: int, kb: KernelBasis) -> CheckReport:
+    """The direct Y-form of E0 at p = q^4 agrees with its S/G-chain
+    expansion modulo the exchange kernel kb (exactly at one slot, where
+    both collapse)."""
     rep = CheckReport(f"generator forms N={N}")
     D = kb.max_degree
     with timer() as t:
-        n_checked = 0
-        ok = True
+        n_checked = n_bad = 0
         for eps in sign_strings(N):
             X = TensorPoly.window(eps, D)
-            direct = series_e0(X, p)
-            expanded = expanded_e0_sym(X, p).scale(qpow(N - 1))
+            direct = series_e0(X, P_FUSION)
+            expanded = expanded_e0_sym(X, P_FUSION).scale(qpow(N - 1))
             diff = direct - expanded
             for expo, vec in diff.extract_all().items():
                 if not vec or sum(expo) > D:
                     continue
-                ok &= kb.member(vec)
                 n_checked += 1
-    check(rep, f"e0.forms.N{N}",
-          "direct and chain forms of E0 agree modulo the exchange family",
-          ok, f"{n_checked} coefficients", 0 if ok else 1, t.seconds)
+                if not kb.member(vec):
+                    n_bad += 1
+    record(rep, f"e0.forms.N{N}",
+           "direct and chain forms of E0 agree modulo the exchange family",
+           n_checked, n_bad, f"{n_checked} coefficients", t.seconds)
     return rep

@@ -1,10 +1,11 @@
 """Structured outcomes of verification suites.
 
 Every check produces one CheckResult with a stable identifier, the name of
-the relation it exercises, a pass/fail/skipped status and either a zero
-certificate ("residual 0 on an n-dimensional basis") or the dimension of
-the offending space.  Reports serialize as JSON lines so long suites can
-stream results.
+the relation it exercises, a pass/fail/skipped status and a residual, the
+number of instances whose residual did not vanish.  One rule, in `record`,
+decides the status: any nonzero residual fails, a check that compared
+nothing is skipped, every other check passes.  `check` counts and times a
+stream of residuals for it.  Reports serialize as JSON lines.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class CheckReport:
     def add(self, result: CheckResult):
         self.results.append(result)
 
-    def skip(self, name: str, relation: str, detail: str):
-        """Record a check that has nothing to observe at this size."""
-        self.add(CheckResult(name, relation, "skipped", detail))
-
     def extend(self, other: "CheckReport"):
         self.results.extend(other.results)
 
@@ -61,8 +58,9 @@ class CheckReport:
         return "\n".join(r.to_json() for r in sorted(self.results, key=lambda r: r.name))
 
     def summary(self) -> str:
-        n = len(self.results)
-        return f"{self.title}: {n - self.n_fail}/{n} checks passed"
+        n, skipped = len(self.results), sum(r.status == "skipped" for r in self.results)
+        text = f"{self.title}: {n - self.n_fail - skipped}/{n} checks passed"
+        return text + (f", {skipped} skipped" if skipped else "")
 
     def lines(self) -> list[str]:
         out = []
@@ -85,7 +83,23 @@ class timer:
         return False
 
 
-def check(report: CheckReport, name: str, relation: str, passed: bool,
-          detail: str = "", residual: int = 0, seconds: float = 0.0):
-    report.add(CheckResult(name, relation, "pass" if passed else "fail",
-                           detail, 0 if passed else max(residual, 1), seconds))
+def record(report: CheckReport, name: str, relation: str, checked: int, bad: int,
+           detail: str = "", seconds: float = 0.0):
+    """The verdict of a check that compared `checked` instances, `bad` of
+    them with a nonzero residual: fail if any was bad, skipped if nothing
+    was compared, pass otherwise.  The residual is the bad count."""
+    status = "fail" if bad else "pass" if checked else "skipped"
+    report.add(CheckResult(name, relation, status, detail, int(bad), seconds))
+
+
+def check(report: CheckReport, name: str, relation: str, residuals,
+          detail: str = ""):
+    """Judge a stream of residuals, one per instance, consumed under the
+    check's timer; a nonzero residual is bad."""
+    with timer() as t:
+        checked = bad = 0
+        for r in residuals:
+            checked += 1
+            if r:
+                bad += 1
+    record(report, name, relation, checked, bad, detail, t.seconds)

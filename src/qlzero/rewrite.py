@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .kernel import (KernelBasis, iter_ab_relations, iter_fus_generators,
                      sector_caps, symbol_grade)
-from .report import CheckReport, check, timer
+from .report import CheckReport, record, timer
 from .tensor import TensorPoly
 
 
@@ -120,18 +120,18 @@ def rewriter_soundness_check(N: int, kb_hec: KernelBasis,
             n_ab += 1
             if kb_hec.certificate(vec) is None:
                 bad_ab += 1
-    check(rep, f"rewriter.sound.ab.N{N}",
-          "every symmetrization rule certifies against the exchange kernel",
-          bad_ab == 0, f"{n_ab} rules with certificates", bad_ab, t.seconds)
+    record(rep, f"rewriter.sound.ab.N{N}",
+           "every symmetrization rule certifies against the exchange kernel",
+           n_ab, bad_ab, f"{n_ab} rules with certificates", t.seconds)
     with timer() as t:
         n_f = bad_f = 0
         for vec, tag in iter_fus_generators(N, D):
             n_f += 1
             if not kb_full.member(vec):
                 bad_f += 1
-    check(rep, f"rewriter.sound.fus.N{N}",
-          "every fusion rule lies in the relation window", bad_f == 0,
-          f"{n_f} rules", bad_f, t.seconds)
+    record(rep, f"rewriter.sound.fus.N{N}",
+           "every fusion rule lies in the relation window", n_f, bad_f,
+           f"{n_f} rules", t.seconds)
     return rep
 
 
@@ -143,33 +143,35 @@ def rewriter_completeness_check(N: int, kb: KernelBasis) -> CheckReport:
     rs = RewriteSystem(N, kb.max_degree)
     with timer() as t:
         bad = []
+        n_cells = 0
         ranks = kb.ranks()
         grades = set(rs.cells) | set(kb.cells)
         for grade in sorted(grades):
             cols = kb.cell_columns(grade)
             if not cols:
                 continue
+            n_cells += 1
             cnt = rs.admissible_count(grade, cols)
             quot = len(cols) - ranks.get(grade, 0)
             if cnt != quot:
                 bad.append((grade, cnt, quot))
-    check(rep, f"rewriter.complete.N{N}",
-          "admissible counts equal quotient dimensions on the chain window",
-          not bad, f"{len(grades)} cells" + (f"; first {bad[0]}" if bad else ""),
-          len(bad), t.seconds)
+    record(rep, f"rewriter.complete.N{N}",
+           "admissible counts equal quotient dimensions on the chain window",
+           n_cells, len(bad), f"{len(grades)} cells" + (f"; first {bad[0]}" if bad else ""),
+           t.seconds)
 
     with timer() as t:
-        ok = True
-        probes = 0
+        probes = n_bad = 0
         for grade in sorted(kb.cells)[:6]:
             for sym in kb.cell_columns(grade)[:4]:
                 x = TensorPoly.monomial(sym[0], sym[1])
                 nf1 = rs.normal_form(x)
                 back = {symbol_of(eps, n): c for eps, n, c in nf1.terms}
-                ok &= rs.normal_form(back).terms == nf1.terms
-                ok &= all(map(rs.is_admissible, back))
+                if (rs.normal_form(back).terms != nf1.terms
+                        or not all(map(rs.is_admissible, back))):
+                    n_bad += 1
                 probes += 1
-    check(rep, f"rewriter.idempotent.N{N}",
-          "normal forms are fixed points on admissible symbols", ok,
-          f"{probes} probes", 0 if ok else 1, t.seconds)
+    record(rep, f"rewriter.idempotent.N{N}",
+           "normal forms are fixed points on admissible symbols", probes, n_bad,
+           f"{probes} probes", t.seconds)
     return rep

@@ -278,6 +278,15 @@ def singlet_vector(nvars: int = 0) -> TensorPoly:
             + TensorPoly.basis((MINUS, PLUS), one.scale_coeffs(_SINGLET_SECOND)))
 
 
+def triplet_vectors() -> list[TensorPoly]:
+    """The triplet channel of two slots: v+ v+, v- v-, v+ v- + q v- v+."""
+    one = LaurentPoly.one(0)
+    return [TensorPoly.basis((PLUS, PLUS), one),
+            TensorPoly.basis((MINUS, MINUS), one),
+            TensorPoly.basis((PLUS, MINUS), one)
+            + TensorPoly.basis((MINUS, PLUS), one.scale_coeffs(qpow(1)))]
+
+
 def singlet_contract(x: TensorPoly, j: int, channel: dict | None = None) -> TensorPoly:
     """Project slots j, j+1 onto the invariant channel.
 

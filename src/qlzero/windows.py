@@ -35,22 +35,20 @@ class Window:
         return -self.lo
 
 
-def cone_cell(arity: int, total: int, floor: int | None = None) -> list[tuple]:
-    """Non-positive exponent vectors with the given total, optionally bounded
-    below per variable.  total <= 0.  Ordered lexicographically."""
+def cone_cell(arity: int, total: int) -> list[tuple]:
+    """Non-positive exponent vectors with the given total.  total <= 0.
+    Ordered lexicographically."""
     if total > 0:
         return []
     if arity == 0:
         return [()] if total == 0 else []
-    lo = floor if floor is not None else total
     out = []
 
     def rec(i, rem, acc):
         if i == arity - 1:
-            if lo <= rem <= 0:
-                out.append(tuple(acc + [rem]))
+            out.append(tuple(acc + [rem]))   # rem <= 0 by the range below
             return
-        for e in range(max(lo, rem), 1):
+        for e in range(rem, 1):
             rec(i + 1, rem - e, acc + [e])
 
     rec(0, total, [])

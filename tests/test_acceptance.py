@@ -14,19 +14,27 @@ from qlzero.kernel import (iter_hec_generators, kernel_build, prop8_check,
                            prop9_check, vec_to_tensor)
 from qlzero.level0 import chevalley_check, e0_apply, f0_apply, rhosg_check
 from qlzero.locality import DECLARED_MARGINS, LEDGER
-from qlzero.report import CheckReport, check, timer
+from qlzero.report import CheckReport, record, timer
 from qlzero.scalars import qpow
 from qlzero.windows import Window
 
 # the exchange window: without FUS, the single sector N
 EXCHANGE = ("HEC", "HWT")
+# the checks that compare nothing at the criteria's sizes: braid and
+# Yang-Baxter need three slots, far commutation a slot off the pair, and
+# the quotient Serre block is written at two slots only
+EMPTY_AT_THESE_SIZES = {"hecke.braid.S.N2", "hecke.braid.G.N2", "hecke.ybe.N2",
+                        "affine.far.N2", "rhosg.far.N2", "chevalley.serre.N3"}
+
 
 def _finish(tag: str, rep: CheckReport):
-    status = "PASS" if rep.ok else "FAIL"
-    print(f"\nACCEPTANCE {tag}: {status} ({rep.summary()})")
+    skipped = {r.name for r in rep.results if r.status == "skipped"}
+    ok = rep.ok and skipped <= EMPTY_AT_THESE_SIZES
+    print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} ({rep.summary()})")
     for line in rep.lines():
         print("   ", line)
     assert rep.ok, f"{tag} failed"
+    assert skipped <= EMPTY_AT_THESE_SIZES, f"{tag}: nothing compared in {skipped}"
 
 
 def test_criterion_01_hecke_suite():
@@ -92,9 +100,9 @@ def _well_defined(rep: CheckReport, N: int, depth: int, kb):
                 n += 1
                 if img and not kb.member(img):
                     bad += 1
-    check(rep, f"quotient.welldefined.N{N}",
-          "E0, F0 map the exchange generators into the kernel",
-          n > 0 and bad == 0, f"{n} images, {bad} outside", bad, t.seconds)
+    record(rep, f"quotient.welldefined.N{N}",
+           "E0, F0 map the exchange generators into the kernel",
+           n, bad, f"{n} images, {bad} outside", t.seconds)
 
 
 def test_criterion_07_quotient_relations():

@@ -39,6 +39,7 @@ def test_unknown_suite_rejected(tmp_path):
         "unknown.json": json.dumps({"suites": [{"suite": "nosuch"}]}),
         "misspelled.json": json.dumps({"suites": [{"suite": "lemmas", "sampel": 3}]}),
         "toplevel.json": json.dumps({"suits": [{"suite": "lemmas"}]}),
+        "listp.json": json.dumps({"suites": [{"suite": "lemmas", "p": ["q4"]}]}),
     }
     for name, text in configs.items():
         cfg = tmp_path / name
@@ -53,6 +54,22 @@ def test_rhof_scale_guard_exit_two():
     rc, _out, err = run("check", "--suite", "rhof", "--n", "2",
                         "--window=-2..0", "--p", "q3")
     assert rc == 2 and "q^4" in err
+
+
+@pytest.mark.parametrize("suite,p", [("chevalley", "q3"), ("evalmod", "generic-sample")])
+def test_single_scale_suites_reject_p_exit_two(suite, p):
+    # only affine-hecke and rhosg run at a choice of p; the others would
+    # run at q^4 whatever was asked
+    rc, _out, err = run("check", "--suite", suite, "--n", "2",
+                        "--window=-1..0", "--p", p)
+    assert rc == 2 and "q^4" in err and "Traceback" not in err, err
+
+
+def test_single_scale_config_job_rejects_p_exit_two(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"suites": [{"suite": "lemmas", "p": "q5"}]}))
+    rc, _out, err = run("check", "--config", str(cfg))
+    assert rc == 2 and "q^4" in err and "Traceback" not in err, err
 
 
 def test_report_written_and_passes(tmp_path):

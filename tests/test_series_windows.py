@@ -2,7 +2,7 @@ import pytest
 
 from qlzero.kernel import specialize_adjacent
 from qlzero.laurent import LaurentPoly, lp_insert_var, lp_swap
-from qlzero.report import CheckReport, CheckResult, check
+from qlzero.report import CheckReport, CheckResult, check, record
 from qlzero.scalars import qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly, e_op
 from qlzero.windows import Window, cone_cell, cone_exponents
@@ -23,7 +23,6 @@ def test_cone_cells():
     assert cone_cell(2, -2) == [(-2, 0), (-1, -1), (0, -2)]
     assert cone_cell(0, 0) == [()]
     assert cone_cell(0, -1) == []
-    assert cone_cell(2, -3, floor=-2) == [(-2, -1), (-1, -2)]
     assert len(cone_exponents(3, 2)) == 1 + 3 + 6
 
 
@@ -60,7 +59,7 @@ def test_symbol_series_slot_ops_move_symbols():
 
 def test_report_roundtrip_and_summary():
     rep = CheckReport("demo")
-    check(rep, "x.one", "relation", True, "ok")
+    check(rep, "x.one", "relation", [0], "ok")
     rep.add(CheckResult("x.two", "relation", "fail", "boom", 3))
     assert not rep.ok and rep.n_fail == 1
     lines = rep.lines()
@@ -68,6 +67,29 @@ def test_report_roundtrip_and_summary():
     assert "1/2" in rep.summary() or "2" in rep.summary()
     out = rep.to_jsonl().splitlines()
     assert len(out) == 2
+
+
+def test_check_verdict_from_the_residuals():
+    rep = CheckReport("demo")
+    check(rep, "x.empty", "relation", iter(()))
+    check(rep, "x.two_bad", "relation", (r for r in (1, 0, 5)))
+    check(rep, "x.clean", "relation", [0, False, 0])
+    got = {r.name: (r.status, r.residual) for r in rep.results}
+    assert got == {"x.empty": ("skipped", 0), "x.two_bad": ("fail", 2),
+                   "x.clean": ("pass", 0)}
+    assert rep.summary() == "demo: 1/3 checks passed, 1 skipped"
+
+
+def test_record_rule_and_int_residual():
+    rep = CheckReport("demo")
+    record(rep, "x.none_but_bad", "relation", 0, 1)
+    record(rep, "x.bool_bad", "relation", 1, True)
+    record(rep, "x.bool_ok", "relation", 1, False)
+    got = {r.name: (r.status, r.residual) for r in rep.results}
+    assert got == {"x.none_but_bad": ("fail", 1), "x.bool_bad": ("fail", 1),
+                   "x.bool_ok": ("pass", 0)}
+    assert all(type(r.residual) is int for r in rep.results)
+    assert '"residual": 1' in rep.to_jsonl() and '"residual": 0' in rep.to_jsonl()
 
 
 def test_locality_ledger_margins():
