@@ -111,10 +111,9 @@ def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> Ke
 def parse_job(name: str, cfg: dict) -> tuple:
     """(n, window, ps) of a job; the window is the depth for DEPTH_SUITES
     and a box Window for the others."""
-    try:
-        n = int(cfg.get("n", 2))
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad slot count {cfg.get('n')!r}") from None
+    n = cfg.get("n", 2)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"a slot count is an integer, got n={n!r}")
     need = 2 if name in PAIR_SUITES else 1
     if n < need:
         raise ConfigError(f"suite {name!r} needs at least {need} slots, got n={n}")
@@ -245,6 +244,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_chars(args) -> int:
+    if args.dmax < 0:
+        raise ConfigError(f"--dmax is a degree, at least 0, got {args.dmax}")
     res = graded_character(args.dmax, args.nmax)
     ws = sorted({w for _, w in set(res["table"]) | set(res["oracle"])})
     lines = ["deg  " + " ".join(f"w={w:+d}".rjust(6) for w in ws)]
@@ -264,6 +265,8 @@ def cmd_dump(args) -> int:
     n = args.n
     window = parse_window(args.window, n)
     name = args.op
+    if len(P_CHOICES[args.p]) != 1:
+        raise ConfigError(f"dump acts at one p, got --p {args.p}")
     p = P_CHOICES[args.p][0]
     match = DUMP_OP.fullmatch(name)
     if match is None:

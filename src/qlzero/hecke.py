@@ -178,7 +178,7 @@ def hecke_suite(N: int, window: Window) -> CheckReport:
             f = LaurentPoly.monomial(N, expo)
             for j in range(1, N):
                 yield G_poly(f, j, j + 1, 1) - G_poly(f, j, j + 1, -1) - f.scale_coeffs(QDIFF)
-                yield G_poly(G_poly(f, j, j + 1, 1), j, j + 1, -1) - f
+                yield G_poly(G_poly(f, j, j + 1, 1), j, j + 1, -1) != f
     check(rep, f"hecke.quadratic.G.N{N}", "T - T^{-1} = q - q^{-1}", quadratic_G(),
           f"{len(monos)} window monomials")
     check(rep, f"hecke.braid.G.N{N}", "braid and far commutation",
@@ -277,11 +277,11 @@ def hecke_suite(N: int, window: Window) -> CheckReport:
 
 
 def _braid_and_far(inputs, N: int, op):
-    """Residuals of the braid and far-commutation relations of op(x, j), an
-    operator on the adjacent slots (j, j+1), over the inputs."""
+    """True where the two sides differ: the braid and far-commutation
+    relations of op(x, j), on the adjacent slots (j, j+1), over the inputs."""
     for x in inputs:
         for j in range(1, N - 1):
-            yield op(op(op(x, j), j + 1), j) - op(op(op(x, j + 1), j), j + 1)
+            yield op(op(op(x, j), j + 1), j) != op(op(op(x, j + 1), j), j + 1)
         for j in range(1, N):
             for k in range(j + 2, N):
-                yield op(op(x, j), k) - op(op(x, k), j)
+                yield op(op(x, j), k) != op(op(x, k), j)

@@ -95,7 +95,9 @@ def record(report: CheckReport, name: str, relation: str, checked: int, bad: int
 def check(report: CheckReport, name: str, relation: str, residuals,
           detail: str = ""):
     """Judge a stream of residuals, one per instance, consumed under the
-    check's timer; a nonzero residual is bad."""
+    check's timer.  A residual is any value that is true when its instance
+    failed: the difference of the two sides, or `lhs != rhs` of canonical
+    forms, which skips building the difference."""
     with timer() as t:
         checked = bad = 0
         for r in residuals:

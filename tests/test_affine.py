@@ -1,5 +1,6 @@
 import random
 
+from qlzero import affine
 from qlzero.affine import (
     Y_apply,
     Y_poly,
@@ -114,6 +115,19 @@ def test_checks_without_a_pair_of_slots_skip():
             assert status[f"affine.{name}.N{N}"] == want, name
         for name in ("inverse", "cone"):
             assert status[f"affine.{name}.N{N}"] == "pass", name
+
+
+def test_suite_observes_a_wrong_g_inverse(monkeypatch):
+    # G^{-1} replaced by G breaks every relation that inverts a G, in Y or
+    # outside it; far commutation and the cone do not see the exponent
+    monkeypatch.setattr(affine, "G_poly", lambda f, j, k, exponent=1: G_poly(f, j, k, 1))
+    got = {r.name: (r.status, r.residual)
+           for r in affine_hecke_suite(3, P, Window(3, -2)).results}
+    assert got["affine.commute.N3"] == ("fail", 66)
+    assert got["affine.crossing.N3"] == ("fail", 54)
+    assert got["affine.inverse.N3"] == ("fail", 54)
+    assert got["affine.far.N3"] == ("pass", 0)
+    assert got["affine.cone.N3"] == ("pass", 0)
 
 
 def test_conjugated_quadratic_relation():

@@ -162,6 +162,16 @@ def test_config_validated_before_the_first_job(tmp_path, bad):
     assert out == "" and not any(cache.iterdir())
 
 
+@pytest.mark.parametrize("n", [2.7, True])
+def test_slot_count_must_be_an_int_exit_two(tmp_path, n):
+    # a float would run truncated to N=2, and true as N=1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [{"suite": "hecke", "n": n, "window": "-1..0"}]}))
+    rc, out, err = run("check", "--config", str(cfg))
+    assert rc == 2 and "slot count" in err and "Traceback" not in err, err
+    assert out == ""
+
+
 def test_cache_serves_every_relation_window_suite(tmp_path):
     for suite in ("prop8", "e0forms", "rewriter", "rhof"):
         rc, _out, err = run("check", "--suite", suite, "--n", "2", "--window=-1..0",
@@ -204,6 +214,13 @@ def test_chars_command():
     assert rc == 0 and "oracle agreement: True" in out
 
 
+def test_chars_negative_degree_exit_two():
+    # a table of no degrees would print only its header
+    rc, out, err = run("chars", "--dmax", "-1")
+    assert rc == 2 and "--dmax" in err and "Traceback" not in err, err
+    assert out == ""
+
+
 def test_dump_command():
     for op in ("S", "S1", "G12", "G21", "Y2", "Z", "e0", "f0", "t0"):
         rc, out, err = run("dump", "--op", op, "--n", "2", "--window=-1..0")
@@ -216,6 +233,7 @@ def test_dump_command():
     ("--op", "Y"), ("--op", "G"), ("--op", "G1"), ("--op", "G11"),
     ("--op", "Y9", "--n", "2"), ("--op", "S2", "--n", "2"),
     ("--op", "G13", "--n", "2"), ("--op", "Y1", "--p", "q7"),
+    ("--op", "Y1", "--p", "generic-sample"),
     ("--op", "e0", "--n", "1", "--window=-1..-1"),
     ("--op", "e0", "--n", "1", "--window=-1..3"),
 ])

@@ -1,5 +1,6 @@
 import random
 
+from qlzero import hecke
 from qlzero.hecke import (
     G_apply,
     G_poly,
@@ -101,3 +102,11 @@ def test_rs_consistency_random():
 def test_suite_small():
     rep = hecke_suite(3, Window(3, -2))
     assert rep.ok, rep.lines()
+
+
+def test_suite_observes_a_wrong_g_inverse(monkeypatch):
+    # G^{-1} replaced by G breaks both quadratic residuals on every one of
+    # the 27 monomials x 2 pairs
+    monkeypatch.setattr(hecke, "G_poly", lambda f, j, k, exponent=1: G_poly(f, j, k, 1))
+    got = {r.name: (r.status, r.residual) for r in hecke_suite(3, Window(3, -2)).results}
+    assert got["hecke.quadratic.G.N3"] == ("fail", 108)

@@ -103,12 +103,18 @@ def test_rhosg_exact_small_windows():
 
 def test_rhosg_observes_a_missing_s(monkeypatch):
     # with S replaced by the identity the exchange identity must break on
-    # both generators, in 27 of the 4 strings x 9 monomials
+    # both generators and every pair: in 27 of the 4 strings x 9 monomials
+    # at N=2 and in 162 of the 8 strings x 27 monomials at N=3, counted per
+    # (monomial, string) though rows are summed once up to a q-power; the
+    # far slots do not see S and still commute
     monkeypatch.setattr(level0, "S_apply", lambda x, j: x)
-    got = {r.name: (r.status, r.residual)
-           for r in rhosg_check(2, qpow(4), Window(2, -2)).results}
-    assert got["rhosg.e0.j1.N2"] == ("fail", 27)
-    assert got["rhosg.f0.j1.N2"] == ("fail", 27)
+    for N, bad in ((2, 27), (3, 162)):
+        got = {r.name: (r.status, r.residual)
+               for r in rhosg_check(N, qpow(4), Window(N, -2)).results}
+        for gen in ("e0", "f0"):
+            for j in range(1, N):
+                assert got[f"rhosg.{gen}.j{j}.N{N}"] == ("fail", bad)
+    assert got["rhosg.far.N3"] == ("pass", 0)
 
 
 def test_checks_with_nothing_to_observe_skip():
