@@ -1,10 +1,12 @@
 """The two Hecke realizations and the R-matrix.
 
 The constant operator S acts on tensor slots; its polynomial twin G acts
-on coefficients through an exact divided difference.  Both satisfy the
-same quadratic and braid relations, and the R-matrix factors through them
-as (S z - S^{-1})/(q z - q^{-1}) - verified here cross-multiplied, never
-as a power series.
+on coefficients as the Demazure-Lusztig operator built on the exact
+divided difference, applied through closed-form monomial images with
+integer Laurent coefficients.  Both satisfy the same quadratic and braid
+relations, and the R-matrix factors through them as
+(S z - S^{-1})/(q z - q^{-1}) - verified here cross-multiplied, never as
+a power series.
 """
 
 from qlzero.hecke import G_poly, R_apply, S_apply, hecke_suite

@@ -9,7 +9,8 @@ of the affine Hecke algebra); composition is rightmost-first throughout:
 with p^{theta_j} the scale substitution z_j := p z_j.  The inverse cycle is
 the substitution f(z_1,...,z_N) -> f(z_2,...,z_N, p^{-1} z_1), which is how
 the level-0 generators move modes around.  The relation checks apply Y
-through `y_by_monomial`, which holds each monomial image for one check.
+through `y_by_monomial`, which holds each monomial image for one check as
+an integer Laurent table and sums the images with `lp_apply`, as G does.
 
 The module also carries a tiny calculus of operators of the form
 sum_w (rational function) * (variable permutation), enough to verify the
@@ -23,8 +24,8 @@ from __future__ import annotations
 import itertools
 
 from .hecke import G_poly, S_apply
-from .laurent import LaurentPoly, lp_permute, lp_scale, lp_swap
-from .linalg import accumulate
+from .laurent import (LaurentPoly, image_table, lp_apply, lp_permute, lp_scale,
+                      lp_swap)
 from .report import CheckReport, check
 from .scalars import QQ_ONE, RatFuncQ, qpow
 from .tensor import (MINUS, PLUS, TensorPoly, singlet_contract, singlet_vector,
@@ -71,20 +72,21 @@ def Y_poly(f: LaurentPoly, j: int, p: RatFuncQ, exponent: int = 1) -> LaurentPol
 
 
 def y_by_monomial(p: RatFuncQ):
-    """The map Y(f, j, e=1) = Y_poly(f, j, p, e), summed over the monomials of
-    f; each monomial image is computed once and kept in a dict that the map
-    owns, so it lives as long as the caller holds the map (one check)."""
+    """The map Y(f, j, e=1) = Y_poly(f, j, p, e), applied through the
+    monomial images by `lp_apply`; each image table is computed once and
+    kept in a dict that the map owns, so it lives as long as the caller
+    holds the map (one check)."""
     images: dict = {}
 
     def Y(f: LaurentPoly, j: int, e: int = 1) -> LaurentPoly:
-        out: dict = {}
-        for expo, c in f.terms.items():
+        def image(expo):
             key = (expo, j, e)
-            img = images.get(key)
-            if img is None:
-                img = images[key] = Y_poly(LaurentPoly.monomial(f.arity, expo), j, p, e)
-            accumulate(out, img.terms.items(), None if c == QQ_ONE else c)
-        return LaurentPoly(f.arity, out)
+            tab = images.get(key)
+            if tab is None:
+                mono = LaurentPoly.monomial(f.arity, expo)
+                tab = images[key] = image_table(Y_poly(mono, j, p, e))
+            return tab
+        return lp_apply(f, image)
     return Y
 
 
@@ -279,7 +281,7 @@ def lemma_suite() -> CheckReport:
            for (j, m) in [(1, 3), (2, 4), (1, 4)]),
           "indices over 4 variables")
 
-    # G = B K + C and G^{-1} = B K + Cbar against the divided-difference form
+    # G = B K + C and G^{-1} = B K + Cbar against G's closed-form images
     def decomposition():
         for e in itertools.product(range(-2, 1), repeat=3):
             f = LaurentPoly.monomial(3, e)

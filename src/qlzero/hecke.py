@@ -11,14 +11,24 @@ G acts on coefficient polynomials only,
     G^{+-1} f = (q^{-1} z_j - q z_k) d_{jk} f + q^{+-1} f,
 
 with d_{jk} the exact divided difference; both satisfy the same quadratic,
-commutation and braid relations.  The R-matrix never appears as a power
-series here: R(z_k/z_j) is handled through its cross-multiplied numerator
-(S z_k - S^{-1} z_j) against the denominator (q z_k - q^{-1} z_j).
+commutation and braid relations.  With (a, b) the exponents of (z_j, z_k)
+in z^e, s their swap and D = q - q^{-1}, the image of z^e is in closed form
+
+    a = b:  q^{+-1} z^e,
+    a < b:  q^{-1} s(z^e) - D * sum_m (z^e with the pair at (m, a + b - m)),
+            m strictly between a and b, and G^{-1} adds -D z^e,
+    a > b:  q s(z^e) + D * (the same sum), and G adds +D z^e.
+
+`_g_mono` writes these tables directly.  All their coefficients lie in
+Z[q, q^{-1}], so the entries hold them as integers and `lp_apply` sums
+G's images with no RatFuncQ product or gcd.  The R-matrix never appears
+as a power series here: R(z_k/z_j) is handled through its cross-multiplied
+numerator (S z_k - S^{-1} z_j) against the denominator (q z_k - q^{-1} z_j).
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, lp_divided_difference, lp_specialize
+from .laurent import LaurentPoly, lp_apply, lp_specialize
 from .linalg import accumulate
 from .report import CheckReport, check
 from .scalars import QQ_ONE, qpow, qq_int
@@ -71,26 +81,39 @@ def S_inv_apply(x: TensorPoly, j: int, k: int | None = None) -> TensorPoly:
 
 _G_MONO_CACHE: dict = {}
 
+# (valuation, integer coefficients, value) of q^{-1}, q, D and -D
+_QINV_T = (-1, (1,), QINV)
+_Q_T = (1, (1,), Q)
+_D_T = (-1, (-1, 0, 1), QDIFF)
+_NEG_D_T = (-1, (1, 0, -1), -QDIFF)
 
-def _g_mono(arity: int, expo: tuple, j: int, k: int, exponent: int) -> LaurentPoly:
+
+def _g_mono(arity: int, expo: tuple, j: int, k: int, exponent: int) -> tuple:
+    """The `lp_apply` image table of z^expo under G_{j,k}^{+-1}, in closed form."""
     key = (arity, expo, j, k, exponent)
     hit = _G_MONO_CACHE.get(key)
     if hit is None:
-        f = LaurentPoly.monomial(arity, expo)
-        dd = lp_divided_difference(f, j, k)
-        mult = (LaurentPoly.var(arity, j).scale_coeffs(QINV)
-                - LaurentPoly.var(arity, k).scale_coeffs(Q))
-        hit = mult * dd + f.scale_coeffs(qpow(1 if exponent > 0 else -1))
+        a, b = expo[j - 1], expo[k - 1]
+        if a == b:
+            hit = ((expo, *(_Q_T if exponent > 0 else _QINV_T)),)
+        else:
+            end, mid = (_QINV_T, _NEG_D_T) if a < b else (_Q_T, _D_T)
+            t = list(expo)
+            t[j - 1], t[k - 1] = b, a
+            rows = [(tuple(t), *end)]
+            for m in range(min(a, b) + 1, max(a, b)):
+                t[j - 1], t[k - 1] = m, a + b - m
+                rows.append((tuple(t), *mid))
+            if (a < b) == (exponent < 0):
+                rows.append((expo, *mid))
+            hit = tuple(rows)
         _G_MONO_CACHE[key] = hit
     return hit
 
 
 def G_poly(f: LaurentPoly, j: int, k: int, exponent: int = 1) -> LaurentPoly:
     """G_{j,k}^{+-1} on a bare Laurent polynomial (monomial images cached)."""
-    out: dict = {}
-    for expo, c in f.terms.items():
-        accumulate(out, _g_mono(f.arity, expo, j, k, exponent).terms.items(), c)
-    return LaurentPoly(f.arity, out)
+    return lp_apply(f, lambda expo: _g_mono(f.arity, expo, j, k, exponent))
 
 
 def G_apply(x: TensorPoly, j: int, k: int, exponent: int = 1) -> TensorPoly:

@@ -7,7 +7,8 @@ equal values have equal text forms.
 
 The variable operators below (swap, divided difference, scale, specialize)
 are the atoms from which the Hecke-type operators of the higher modules are
-composed.
+composed.  A linear map given by its monomial images is applied by
+`lp_apply`, which sums coefficients in Z[q, q^{-1}] as integers.
 """
 
 from __future__ import annotations
@@ -238,6 +239,54 @@ def lp_permute(f: LaurentPoly, perm: tuple) -> LaurentPoly:
     for e, c in f.terms.items():
         out[tuple(e[p] for p in perm)] = c
     return LaurentPoly(f.arity, out)
+
+
+def _laurent(c: RatFuncQ) -> tuple:
+    """(v, ints) with c = q^v * sum_i ints[i] q^i when c lies in Z[q, q^{-1}]
+    (its canonical denominator is then exactly q^{-v}), else (None, None)."""
+    den = c.den
+    if den[-1] == 1 and den.count(0) == len(den) - 1:
+        return 1 - len(den), c.num
+    return None, None
+
+
+def image_table(g: LaurentPoly) -> tuple:
+    """The terms of g as an `lp_apply` image table."""
+    return tuple((e, *_laurent(c), c) for e, c in g.terms.items())
+
+
+def lp_apply(f: LaurentPoly, image) -> LaurentPoly:
+    """The linear map with monomial images `image(e)`, applied to f.
+
+    An image is a table of entries (exponent, v, ints, c): the term
+    c*z^exponent, with c = q^v * sum_i ints[i] q^i if c lies in
+    Z[q, q^{-1}], else v = ints = None.  Products of two such Laurent
+    coefficients are convolved into integers per output exponent and read
+    back as canonical RatFuncQ once; any other product is a RatFuncQ one.
+    """
+    sums: dict[tuple, dict[int, int]] = {}   # exponent -> {q-power: int}
+    rest: dict[tuple, RatFuncQ] = {}
+    for expo, c in f.terms.items():
+        v0, num = _laurent(c)
+        for e, v, cs, r in image(expo):
+            if v0 is None or v is None:
+                accumulate(rest, ((e, r),), c)
+                continue
+            acc = sums.setdefault(e, {})
+            for i, x in enumerate(num, v0 + v):
+                if x:
+                    for t, y in enumerate(cs, i):
+                        acc[t] = acc.get(t, 0) + x * y
+    out: dict[tuple, RatFuncQ] = {}
+    for e, acc in sums.items():
+        pows = [t for t, x in acc.items() if x]
+        if pows:
+            k = max(0, -min(pows))           # the denominator is q^k
+            num = [0] * (max(pows) + k + 1)
+            for t in pows:
+                num[t + k] = acc[t]
+            out[e] = RatFuncQ(tuple(num), (0,) * k + (1,), _reduced=True)
+    return LaurentPoly(f.arity, accumulate(out, rest.items()))
 
 
 def _check_pair(f: LaurentPoly, j: int, k: int):

@@ -95,6 +95,50 @@ def test_y_by_monomial_matches_y_poly():
                     assert first.terms == kept
 
 
+def _in_laurent_ring(c):
+    return c.den[-1] == 1 and not any(c.den[:-1])
+
+
+def _sum_of_images(f, j, e):
+    out = LaurentPoly.zero(f.arity)
+    for expo, c in f.terms.items():
+        out = out + Y_poly(LaurentPoly.monomial(f.arity, expo), j, P, e).scale_coeffs(c)
+    return out
+
+
+def test_y_by_monomial_coefficients_outside_laurent_ring():
+    # Y(f) = sum_e c_e Y(z^e) when some c_e lies outside Z[q, q^{-1}]
+    Y = y_by_monomial(P)
+    f = (LaurentPoly.monomial(2, (-2, 0), (qpow(1) + qpow(-1)).inv())
+         + LaurentPoly.monomial(2, (0, -1), qpow(1) * qq_int(2).inv())
+         + LaurentPoly.monomial(2, (-1, -1), qpow(-2)))
+    for j in (1, 2):
+        for e in (1, -1):
+            assert Y(f, j, e) == _sum_of_images(f, j, e)
+
+
+def test_y_by_monomial_integer_and_rational_terms_cancel():
+    # f = z^a + w z^b with w = -A/B outside Z[q, q^{-1}], where A and B are
+    # the coefficients of z^t in Y(z^a) and Y(z^b): the integer part and the
+    # Q(q) part of Y(f) cancel at z^t, and no zero is stored there
+    Y = y_by_monomial(P)
+    ys = {m: Y_poly(LaurentPoly.monomial(2, m), 1, P).terms
+          for m in Window(2, -2).exponents()}
+    found = 0
+    for a, ya in ys.items():
+        for b, yb in ys.items():
+            for t in set(ya) & set(yb):
+                w = -(ya[t] / yb[t])
+                if a == b or _in_laurent_ring(w):
+                    continue
+                f = LaurentPoly.monomial(2, a) + LaurentPoly.monomial(2, b, w)
+                got = Y(f, 1)
+                assert t not in got.terms
+                assert got == _sum_of_images(f, 1, 1)
+                found += 1
+    assert found
+
+
 def test_y_apply_on_tensor_coefficients():
     x = TensorPoly.basis((PLUS, PLUS), LaurentPoly.one(2))
     assert Y_apply(x, 2, P) == x.scale(qpow(1))

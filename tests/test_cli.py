@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,30 @@ def test_reports_byte_identical_modulo_timing(tmp_path):
                 for ln in path.read_text().splitlines()]
 
     assert strip(a) == strip(b)
+
+
+# The five operator suites at the sizes of the benchmark's `operators`
+# workload, and the SHA-256 of their report without the `seconds` field.
+OPERATOR_JOBS = [
+    {"suite": "hecke", "n": 4, "window": "-3..0"},
+    {"suite": "lemmas"},
+    {"suite": "affine-hecke", "n": 3, "window": "-4..0", "p": "generic-sample"},
+    {"suite": "rhosg", "n": 3, "window": "-3..0", "p": "generic-sample"},
+    {"suite": "evalmod", "n": 3},
+]
+OPERATOR_REPORT_SHA256 = "bd2c83a2f7b1ad2c698a7a0a5e8a05dce0f224003f6ebc361080b8f6d15ba3be"
+
+
+def test_operator_report_golden(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps({"suites": OPERATOR_JOBS}))
+    rc, _o, _e = run("check", "--config", str(cfg), "--out", str(out))
+    assert rc == 0
+    rows = [{k: v for k, v in json.loads(ln).items() if k != "seconds"}
+            for ln in out.read_text().splitlines()]
+    blob = "\n".join(json.dumps(r, sort_keys=True) for r in rows)
+    assert len(rows) == 39
+    assert hashlib.sha256(blob.encode()).hexdigest() == OPERATOR_REPORT_SHA256
 
 
 def test_kernel_command_and_cache(tmp_path):

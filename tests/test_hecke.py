@@ -9,7 +9,7 @@ from qlzero.hecke import (
     S_inv_apply,
     hecke_suite,
 )
-from qlzero.laurent import LaurentPoly, lp_specialize
+from qlzero.laurent import LaurentPoly, lp_divided_difference, lp_specialize
 from qlzero.scalars import QQ_ONE, qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
 from qlzero.windows import Window
@@ -58,6 +58,25 @@ def test_g_quadratic_on_random():
         e = tuple(rng.randrange(-3, 2) for _ in range(2))
         f = LaurentPoly.monomial(2, e, qpow(rng.randrange(-2, 3)))
         assert G_poly(f, 1, 2, 1) - G_poly(f, 1, 2, -1) == f.scale_coeffs(qpow(1) - qpow(-1))
+
+
+def test_g_matches_its_definition():
+    # the closed-form images against G^{+-1} f = (q^{-1} z_j - q z_k) d_{jk} f
+    # + q^{+-1} f, with coefficients inside and outside Z[q, q^{-1}], on
+    # adjacent, non-adjacent and reversed pairs
+    coeffs = (qpow(2), qq_int(-3), qpow(1) - qpow(-1),
+              (qpow(1) + qpow(-1)).inv(), qpow(1) * qq_int(2).inv())
+    rng = random.Random(19)
+    for _ in range(30):
+        f = LaurentPoly.zero(3)
+        for c in coeffs:
+            f = f + LaurentPoly.monomial(3, tuple(rng.randrange(-3, 2) for _ in range(3)), c)
+        for j, k in ((1, 2), (2, 3), (1, 3), (2, 1)):
+            mult = (LaurentPoly.var(3, j).scale_coeffs(qpow(-1))
+                    - LaurentPoly.var(3, k).scale_coeffs(qpow(1)))
+            dd = mult * lp_divided_difference(f, j, k)
+            for ex in (1, -1):
+                assert G_poly(f, j, k, ex) == dd + f.scale_coeffs(qpow(ex)), (j, k, ex)
 
 
 def test_g_apply_touches_coefficients_only():
