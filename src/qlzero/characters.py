@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .kernel import (KernelBasis, iter_hec_generators, sector_caps, sector_shift,
+from .kernel import (EXCHANGE, KernelBasis, KernelTable, sector_shift,
                      specialize_adjacent)
 from .report import CheckReport, record, timer
 from .tensor import TensorPoly, sign_strings
@@ -107,24 +107,26 @@ def iter_spec_coefficients(n: int, max_degree: int):
                     yield vec, f"SPEC.n{n}.j{j}.{expo}"
 
 
-def sector_quotient_counts(N: int, max_degree: int) -> dict:
+def sector_quotient_counts(N: int, exch: KernelBasis) -> dict:
     """Pure-sector quotient dimensions: cone cells modulo the exchange
-    family and the specialization coefficients, keyed by (energy, weight)."""
-    span = KernelBasis(sector_caps(N, max_degree, fusion=False))
-    ranks = span.extend(iter_hec_generators, iter_spec_coefficients).ranks()
+    window exch of sector N and the specialization coefficients, keyed by
+    (energy, weight), up to the window's depth."""
+    span = exch.copy().extend(iter_spec_coefficients)
+    ranks = span.ranks()
     out = {}
     for w in range(-N, N + 1, 2):
-        for d in range(max_degree + 1):
+        for d in range(exch.max_degree + 1):
             grade = (d + sector_shift(N, w), w)
             out[grade] = len(span.cell_columns(grade)) - ranks.get(grade, 0)
     return out
 
 
-def sector_model_check(N: int, max_degree: int) -> CheckReport:
-    """The fermionic sector count against exact pure-sector ranks."""
+def sector_model_check(N: int, exch: KernelBasis) -> CheckReport:
+    """The fermionic sector count against exact pure-sector ranks, on the
+    exchange window exch of sector N."""
     rep = CheckReport(f"sector count model N={N}")
     with timer() as t:
-        got = sector_quotient_counts(N, max_degree)
+        got = sector_quotient_counts(N, exch)
         bad = []
         for (e, w), cnt in sorted(got.items()):
             if cnt != sector_count(N, e, w):
@@ -173,14 +175,15 @@ def graded_character(d_max: int, n_max: int) -> dict:
     }
 
 
-def character_check() -> CheckReport:
+def character_check(table: KernelTable) -> CheckReport:
     """Acceptance-level character comparison: the graded table for degrees
     <= 6 over sectors <= 12 against the oracle, with engine-side
-    verification of the per-sector counts for N <= 3 at degrees <= 4."""
+    verification of the per-sector counts for N <= 3 at degrees <= 4, on
+    the exchange windows of the table."""
     d_max, n_max = 6, 12
     rep = CheckReport(f"characters d<={d_max}")
     for N in (1, 2, 3):
-        rep.extend(sector_model_check(N, 4))
+        rep.extend(sector_model_check(N, table.get(N, 4, EXCHANGE)))
     with timer() as t:
         res = graded_character(d_max, n_max)
         pinned = (res["table"].get((0, 0), 0) + res["table"].get((0, 1), 0) == 2

@@ -1,4 +1,4 @@
-"""Batch orchestration: suite selection, kernel caching, reports.
+"""Batch orchestration: suite selection, the run's kernel table, reports.
 
 Commands:
     check   run verification suites, write a JSON-lines report
@@ -24,8 +24,8 @@ from .affine import affine_hecke_suite, lemma_suite
 from .characters import character_check, graded_character
 from .fusion import e0_forms_check, rhof_check
 from .hecke import G_poly, S_apply, hecke_suite
-from .kernel import (FAMILIES, KernelBasis, kernel_build, prop8_check,
-                     prop9_check, sector_caps)
+from .kernel import (EXCHANGE, FAMILIES, KernelTable, prop8_check,
+                     prop9_check)
 from .laurent import LaurentPoly
 from .level0 import (chevalley_check, e0_apply, evaluation_module_suite,
                      f0_apply, rhosg_check, t0_apply)
@@ -50,7 +50,6 @@ SCALE_SUITES = {"affine-hecke", "rhosg"}
 PAIR_SUITES = {"hecke", "rhosg", "prop8", "prop9", "rhof", "rewriter"}
 # suites judged on a relation window -D..0; the others take a box window
 DEPTH_SUITES = {"chevalley", "prop8", "prop9", "rhof", "rewriter", "e0forms"}
-EXCHANGE = ("HEC", "HWT")
 FULL = ("HEC", "FUS", "HWT")
 
 JOB_KEYS = {"suite", "n", "window", "p"}
@@ -89,25 +88,6 @@ def cache_dir(args) -> Path | None:
     return path
 
 
-def cached_kernel(N: int, depth: int, families: tuple, cache: Path | None) -> KernelBasis:
-    if cache is None:
-        return kernel_build(N, depth, families)
-    key = f"N{N}-D{depth}-" + "-".join(sorted(families))
-    path = cache / f"kernel-{key}.txt"
-    if path.exists():
-        # a file of another format, or for another window, is rebuilt
-        try:
-            kb = KernelBasis.load_text(path.read_text())
-        except ValueError:
-            kb = None
-        if (kb is not None and kb.caps == sector_caps(N, depth, "FUS" in families)
-                and sorted(kb.families) == sorted(families)):
-            return kb
-    kb = kernel_build(N, depth, families)
-    path.write_text(kb.save_text())
-    return kb
-
-
 def parse_job(name: str, cfg: dict) -> tuple:
     """(n, window, ps) of a job; the window is the depth for DEPTH_SUITES
     and a box Window for the others."""
@@ -127,13 +107,13 @@ def parse_job(name: str, cfg: dict) -> tuple:
     return n, window, P_CHOICES[p_name]
 
 
-def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
+def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
     """Run one job; the relation-window suites get their windows, at the
-    job's depth, from `cached_kernel`."""
+    job's depth, from the run's kernel table."""
     n, window, ps = parse_job(name, cfg)
 
     def kernel(families):
-        return cached_kernel(n, window, families, cache)
+        return table.get(n, window, families)
 
     if name == "hecke":
         return hecke_suite(n, window)
@@ -154,7 +134,7 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
     if name == "prop8":
         return prop8_check(n, kernel(EXCHANGE))
     if name == "prop9":
-        return prop9_check(n, window)
+        return prop9_check(n, kernel(EXCHANGE))
     if name == "rhof":
         kb = kernel(FULL)
         rep = rhof_check(n, kb)
@@ -162,7 +142,7 @@ def run_suite(name: str, cfg: dict, cache: Path | None) -> CheckReport:
             rep.extend(rhof_check(2, kb, qpow(3)))
         return rep
     if name == "characters":
-        return character_check()
+        return character_check(table)
     if name == "evalmod":
         return evaluation_module_suite(n)
     if name == "rewriter":
@@ -208,11 +188,11 @@ def cmd_check(args) -> int:
         if job.get("suite") not in SUITES:
             raise ConfigError(f"unknown suite {job.get('suite')!r}")
         parse_job(job["suite"], job)
-    cache = cache_dir(args)
+    table = KernelTable(cache_dir(args))
     full = CheckReport("qlzero")
     LEDGER.clear()
     for job in jobs:
-        rep = run_suite(job["suite"], job, cache)
+        rep = run_suite(job["suite"], job, table)
         full.extend(rep)
     # by hand, not by `record`: with nothing observed it passes, as `operators` expects
     full.add(CheckResult("locality.margins",
@@ -234,7 +214,7 @@ def cmd_kernel(args) -> int:
                           f"got {args.families!r}")
     if args.n < 1:
         raise ConfigError(f"a kernel needs at least one slot, got n={args.n}")
-    kb = cached_kernel(args.n, parse_depth(args.window), families, cache_dir(args))
+    kb = KernelTable(cache_dir(args)).get(args.n, parse_depth(args.window), families)
     print(f"sectors {kb.sectors} degree {kb.max_degree} families {kb.families}")
     print(f"generators {kb.n_generators} rank {kb.rank()} "
           f"ambient {kb.ambient_dimension()}")

@@ -20,11 +20,16 @@ The span is built without combinations.  A membership certificate is
 solved on request, cell by cell, against the generators regenerated from
 the span's families and caps, and is returned only after the sum it names
 has been recomputed and compared with the vector exactly.
+
+A run holds its windows in one KernelTable, which eliminates each span
+once: a window with fusion extends a copy of the exchange window of its
+depth rather than eliminating the exchange family again.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from .hecke import G_poly, R_numerator_op, S_PAIR
 from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
@@ -35,6 +40,8 @@ from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
 from .windows import cone_cell
 
 FAMILIES = ("HEC", "FUS", "HWT")
+# the exchange window: without FUS, the single sector N
+EXCHANGE = ("HEC", "HWT")
 
 
 def sum_kappa(N: int) -> int:
@@ -279,6 +286,15 @@ class KernelBasis:
             self.add(vec, tag)
         return self
 
+    def copy(self) -> "KernelBasis":
+        """An independent copy of the span and its counters, to extend
+        without touching this one; the certificate memo starts empty."""
+        kb = KernelBasis(self.caps, self.families, self.key)
+        kb.cells = {grade: basis.copy() for grade, basis in self.cells.items()}
+        kb.n_generators = self.n_generators
+        kb.provenance = dict(self.provenance)
+        return kb
+
     def rank(self) -> int:
         return sum(b.rank for b in self.cells.values())
 
@@ -461,15 +477,103 @@ def kernel_build(N: int, depth: int, families=("HEC", "FUS", "HWT")) -> KernelBa
     return kb.extend(*(gen for fam, gen in GENERATORS.items() if fam in families))
 
 
+def full_window(exch: KernelBasis, families=FAMILIES) -> KernelBasis:
+    """`kernel_build(N, depth, families)` from the exchange window of the
+    same N and depth (its families without FUS): a copy of it over the
+    whole sector chain, extended by the generators it lacks, FUS at every
+    sector and its own families below sector N.  The reduced echelon form
+    of a span is unique, so the rows and the counters, and with them
+    `save_text`, equal those of the direct build.
+    """
+    if (len(exch.caps) != 1 or "FUS" not in families
+            or sorted(exch.families) != sorted(set(families) - {"FUS"})):
+        raise ValueError(f"not the exchange window of {families}: caps "
+                         f"{exch.caps}, families {exch.families}")
+    (N, depth), = exch.caps.items()
+    kb = exch.copy()
+    kb.caps, kb.families = sector_caps(N, depth), tuple(families)
+    for n, cap in kb.caps.items():
+        if n < 2:
+            continue
+        for fam, gen in GENERATORS.items():
+            if fam == "FUS" or (n < N and fam in families):
+                for vec, tag in gen(n, cap):
+                    kb.add(vec, tag)
+    return kb
+
+
+class KernelTable:
+    """The relation windows of one run, keyed like their cache files: each
+    (N, depth, families) span is loaded from the cache directory or built
+    once per run, and handed out read-only (only the certificate memo of a
+    span fills).  A window with FUS is the `full_window` of the table's
+    exchange window.  A span built here is written to the cache when a
+    caller asks for it, so an exchange window built only to derive a full
+    one gets no file.
+    """
+
+    def __init__(self, cache: Path | None = None):
+        self.cache = cache
+        self.spans: dict[str, KernelBasis] = {}
+        self._unsaved: set[str] = set()
+
+    def get(self, N: int, depth: int, families: tuple) -> KernelBasis:
+        key = _table_key(N, depth, families)
+        kb = self._span(N, depth, families)
+        if self.cache is not None and key in self._unsaved:
+            self._unsaved.discard(key)
+            (self.cache / f"kernel-{key}.txt").write_text(kb.save_text())
+        return kb
+
+    def _span(self, N: int, depth: int, families: tuple) -> KernelBasis:
+        key = _table_key(N, depth, families)
+        kb = self.spans.get(key)
+        if kb is None:
+            kb = self._load(N, depth, families)
+            if kb is None:
+                if "FUS" in families:
+                    exch = tuple(f for f in families if f != "FUS")
+                    kb = full_window(self._span(N, depth, exch), families)
+                else:
+                    kb = kernel_build(N, depth, families)
+                self._unsaved.add(key)
+            self.spans[key] = kb
+        return kb
+
+    def _load(self, N: int, depth: int, families: tuple) -> KernelBasis | None:
+        """The span from its cache file; None without one, and for a file of
+        another format or window (it is rebuilt)."""
+        if self.cache is None:
+            return None
+        path = self.cache / f"kernel-{_table_key(N, depth, families)}.txt"
+        if not path.exists():
+            return None
+        try:
+            kb = KernelBasis.load_text(path.read_text())
+        except ValueError:
+            return None
+        if (kb.caps == sector_caps(N, depth, "FUS" in families)
+                and sorted(kb.families) == sorted(families)):
+            return kb
+        return None
+
+
+def _table_key(N: int, depth: int, families: tuple) -> str:
+    return f"N{N}-D{depth}-" + "-".join(sorted(families))
+
+
 # -- statement-level checks --------------------------------------------------
 
 
-def prop9_check(N: int, depth: int) -> CheckReport:
+def prop9_check(N: int, exch: KernelBasis) -> CheckReport:
     """Spans of the cross-multiplied commutation family and of the exchange
-    family agree, cell by cell, inside the window of the given depth."""
+    window exch agree, cell by cell, inside the window's depth.  The union
+    is a copy of the commutation span extended by the rows of exch."""
+    depth = exch.max_degree
+    if exch.caps != sector_caps(N, depth, fusion=False):
+        raise ValueError(f"not an exchange window of sector {N}: caps {exch.caps}")
     rep = CheckReport(f"commutation vs exchange spans N={N}")
-    caps = sector_caps(N, depth, fusion=False)
-    comm, exch, union = (KernelBasis(caps) for _ in range(3))
+    comm = KernelBasis(exch.caps)
     with timer() as t:
         for eps in sign_strings(N):
             for j in range(1, N):
@@ -487,10 +591,10 @@ def prop9_check(N: int, depth: int) -> CheckReport:
                 for expo, vec in fam_a.extract_all().items():
                     if vec and sum(expo) <= depth + 1:
                         comm.add(vec, "A")
-                        union.add(vec, "A")
-        for vec, tag in iter_hec_generators(N, depth):
-            exch.add(vec, tag)
-            union.add(vec, tag)
+        union = comm.copy()
+        for basis in exch.cells.values():
+            for row in basis.pivots.values():
+                union.add(row, "HEC")
     ranks_a, ranks_b, ranks_u = comm.ranks(), exch.ranks(), union.ranks()
     cells = set(ranks_a) | set(ranks_b) | set(ranks_u)
     bad = sum(1 for c in cells if not ranks_a.get(c) == ranks_b.get(c) == ranks_u.get(c))

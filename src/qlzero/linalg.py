@@ -77,6 +77,12 @@ class LinearBasis:
         self.pivots[piv] = row
         return True
 
+    def copy(self) -> "LinearBasis":
+        """An independent basis with the same rows (each row dict copied)."""
+        out = LinearBasis(self.key)
+        out.pivots = {col: dict(row) for col, row in self.pivots.items()}
+        return out
+
     def standard_columns(self, columns) -> list:
         """Columns of the ambient list that are not pivots (the canonical
         complement: images of these span the quotient)."""

@@ -10,16 +10,14 @@ from qlzero.affine import affine_hecke_suite, lemma_suite
 from qlzero.characters import character_check
 from qlzero.fusion import rhof_check
 from qlzero.hecke import hecke_suite
-from qlzero.kernel import (iter_hec_generators, kernel_build, prop8_check,
-                           prop9_check, vec_to_tensor)
+from qlzero.kernel import (EXCHANGE, KernelTable, iter_hec_generators,
+                           kernel_build, prop8_check, prop9_check, vec_to_tensor)
 from qlzero.level0 import chevalley_check, e0_apply, f0_apply, rhosg_check
 from qlzero.locality import DECLARED_MARGINS, LEDGER
 from qlzero.report import CheckReport, record, timer
 from qlzero.scalars import qpow
 from qlzero.windows import Window
 
-# the exchange window: without FUS, the single sector N
-EXCHANGE = ("HEC", "HWT")
 # the checks that compare nothing at the criteria's sizes: braid and
 # Yang-Baxter need three slots, far commutation a slot off the pair, and
 # the quotient Serre block is written at two slots only
@@ -73,8 +71,8 @@ def test_criterion_04_normal_ordering_membership():
 
 def test_criterion_05_span_equality():
     rep = CheckReport("criterion 5: span equality")
-    rep.extend(prop9_check(2, 4))
-    rep.extend(prop9_check(3, 3))
+    rep.extend(prop9_check(2, kernel_build(2, 4, EXCHANGE)))
+    rep.extend(prop9_check(3, kernel_build(3, 3, EXCHANGE)))
     _finish("5 (commutation vs exchange spans)", rep)
 
 
@@ -117,7 +115,7 @@ def test_criterion_07_quotient_relations():
 
 
 def test_criterion_08_characters():
-    rep = character_check()
+    rep = character_check(KernelTable())
     _finish("8 (graded dimensions vs level-1 oracle, degrees <= 6)", rep)
 
 

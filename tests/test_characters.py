@@ -10,6 +10,7 @@ from qlzero.characters import (
     sector_model_check,
     sector_quotient_counts,
 )
+from qlzero.kernel import EXCHANGE, KernelTable, kernel_build
 
 
 def test_partition_counting():
@@ -42,7 +43,7 @@ def test_internal_oracle_matches_display_relabeling():
 
 def test_sector_counts_engine_verified():
     for N in (1, 2):
-        rep = sector_model_check(N, 4)
+        rep = sector_model_check(N, kernel_build(N, 4, EXCHANGE))
         assert rep.ok, rep.lines()
 
 
@@ -55,7 +56,7 @@ def test_sector_count_first_values():
 
 
 def test_pure_sector_quotient_shapes():
-    got = sector_quotient_counts(2, 3)
+    got = sector_quotient_counts(2, kernel_build(2, 3, EXCHANGE))
     assert got[(1, 0)] == 1 and got[(2, 0)] == 2
 
 
@@ -71,5 +72,5 @@ def test_truncation_detected():
 
 
 def test_character_check_report():
-    rep = character_check()
+    rep = character_check(KernelTable())
     assert rep.ok, rep.lines()

@@ -206,6 +206,72 @@ def test_cache_serves_every_relation_window_suite(tmp_path):
         "kernel-N2-D1-FUS-HEC-HWT.txt", "kernel-N2-D1-HEC-HWT.txt"]
 
 
+def test_kernel_command_caches_only_the_window_asked_for(tmp_path):
+    # the full window is derived from an exchange window that gets no file
+    rc, _out, err = run("kernel", "--n", "3", "--window=-3..0",
+                        "--families", "HEC,FUS,HWT", "--cache", str(tmp_path))
+    assert rc == 0, err
+    assert [p.name for p in tmp_path.iterdir()] == ["kernel-N3-D3-FUS-HEC-HWT.txt"]
+
+
+def test_full_kernel_derived_from_a_cached_exchange_window(tmp_path):
+    from qlzero.kernel import kernel_build
+
+    out = tmp_path / "full.txt"
+    for families in ("HEC,HWT", "HEC,FUS,HWT"):
+        rc, _out, err = run("kernel", "--n", "3", "--window=-2..0", "--families", families,
+                            "--cache", str(tmp_path / "cache"), "--out", str(out))
+        assert rc == 0, err
+    assert out.read_text() == kernel_build(3, 2).save_text()
+
+
+def test_cache_gets_a_derived_exchange_window_once_asked_for(tmp_path):
+    rc, _out, err = run("check", "--suite", "rhof", "--suite", "prop8", "--n", "2",
+                        "--window=-1..0", "--cache", str(tmp_path))
+    assert rc == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kernel-N2-D1-FUS-HEC-HWT.txt", "kernel-N2-D1-HEC-HWT.txt"]
+
+
+# the suites of the benchmark's `ideal` workload (bench/workloads.py)
+IDEAL_JOBS = [
+    {"suite": "rhof", "n": 3, "window": "-4..0"},
+    {"suite": "rhof", "n": 2, "window": "-4..0"},
+    {"suite": "prop9", "n": 3, "window": "-4..0"},
+    {"suite": "prop8", "n": 2, "window": "-4..0"},
+    {"suite": "rewriter", "n": 2, "window": "-4..0"},
+    {"suite": "characters"},
+]
+
+
+def test_check_eliminates_each_span_once(tmp_path, monkeypatch, capsys):
+    from collections import Counter
+
+    from qlzero import cli, kernel
+
+    made = Counter()
+    build, derive = kernel.kernel_build, kernel.full_window
+
+    def counted_build(N, depth, families=kernel.FAMILIES):
+        made[N, depth, tuple(sorted(families))] += 1
+        return build(N, depth, families)
+
+    def counted_derive(exch, families=kernel.FAMILIES):
+        (N, depth), = exch.caps.items()
+        made[N, depth, tuple(sorted(families))] += 1
+        return derive(exch, families)
+
+    monkeypatch.setattr(kernel, "kernel_build", counted_build)
+    monkeypatch.setattr(kernel, "full_window", counted_derive)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": IDEAL_JOBS}))
+    assert cli.main(["check", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    exch, full = ("HEC", "HWT"), ("FUS", "HEC", "HWT")
+    assert made == Counter({(1, 4, exch): 1, (2, 4, exch): 1, (3, 4, exch): 1,
+                            (2, 4, full): 1, (3, 4, full): 1})
+
+
 def test_kernel_cache_keyed_by_full_family_names(tmp_path):
     for families in ("HEC", "HWT", "HEC,HWT"):
         rc, _out, err = run("kernel", "--n", "2", "--window=-1..0",

@@ -3,7 +3,10 @@ import hashlib
 import pytest
 
 from qlzero.kernel import (
+    EXCHANGE,
     KernelBasis,
+    KernelTable,
+    full_window,
     hec_generator,
     iter_ab_relations,
     iter_fus_generators,
@@ -147,6 +150,51 @@ def test_save_text_matches_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_N2_D3_FULL
 
 
+@pytest.mark.parametrize("N,depth", [(2, 4), (3, 3), (3, 4), (4, 2)])
+def test_full_window_extends_the_exchange_window(N, depth):
+    # at N=4 the extension adds exchange generators at sector 2 as well
+    direct = kernel_build(N, depth)
+    exch = kernel_build(N, depth, EXCHANGE)
+    before = exch.save_text()
+    derived = full_window(exch)
+    assert derived.save_text() == direct.save_text()
+    assert derived.n_generators == direct.n_generators
+    assert derived.provenance == direct.provenance
+    assert exch.save_text() == before
+
+
+def test_full_window_needs_the_exchange_window():
+    for wrong in (kernel_build(2, 2), kernel_build(2, 2, ("HEC",))):
+        with pytest.raises(ValueError):
+            full_window(wrong)
+
+
+def test_copy_leaves_the_original_unchanged():
+    kb = kernel_build(2, 3, EXCHANGE)
+    text = kb.save_text()
+    cp = kb.copy()
+    assert cp.save_text() == text
+    # a unit vector at a non-pivot column of a stored row: adding it
+    # eliminates that column from the copy's rows
+    basis = next(b for b in cp.cells.values()
+                 if any(len(r) > 1 for r in b.pivots.values()))
+    row = next(r for r in basis.pivots.values() if len(r) > 1)
+    col = next(c for c in row if c not in basis.pivots)
+    assert cp.add({col: qq_int(1)}, "X.unit")
+    assert cp.save_text() != text and kb.save_text() == text
+    assert kb.n_generators == cp.n_generators - 1 and "X" not in kb.provenance
+
+
+def test_kernel_table_hands_out_each_span_once():
+    table = KernelTable()
+    full = table.get(2, 2, ("HEC", "FUS", "HWT"))
+    exch = table.get(2, 2, ("HWT", "HEC"))
+    assert table.get(2, 2, ("HEC", "FUS", "HWT")) is full
+    assert table.get(2, 2, EXCHANGE) is exch
+    assert exch.caps == {2: 2} and full.caps == {2: 2, 0: 2}
+    assert full.save_text() == kernel_build(2, 2).save_text()
+
+
 def test_persistence_keeps_sector_caps():
     # the sector-1 window of the N=3 fusion chain is one degree shallower;
     # a loaded kernel must keep rejecting what the built one rejects
@@ -206,13 +254,36 @@ def test_ab_span_equals_exchange_span():
 
 
 def test_prop9_and_prop8_small():
-    assert prop9_check(2, 3).ok
+    assert prop9_check(2, kernel_build(2, 3, EXCHANGE)).ok
     rep = prop8_check(2, kernel_build(2, 2, ("HEC", "HWT")))
     assert rep.ok, rep.lines()
 
 
+def test_prop9_fails_on_an_exchange_window_missing_generators():
+    # negative control: the caps of depth 3, but the exchange generators of
+    # degree 3 left out; the detail still reports the true ranks
+    full = kernel_build(2, 3, EXCHANGE)
+    thin = KernelBasis(sector_caps(2, 3, fusion=False), EXCHANGE)
+    for vec, tag in iter_hec_generators(2, 2):
+        thin.add(vec, tag)
+    assert thin.caps == full.caps and 0 < thin.rank() < full.rank()
+    (res,) = prop9_check(2, thin).results
+    assert res.name == "prop9.spans.N2" and res.status == "fail"
+    assert res.detail == (f"ranks: commutation {full.rank()}, "
+                          f"exchange {thin.rank()}, union {full.rank()}")
+    # and with one vector too many, the union takes it in
+    thick = full.copy()
+    assert thick.add({((PLUS, MINUS), (0, 0)): qq_int(1)}, "X.unit")
+    (res,) = prop9_check(2, thick).results
+    assert res.status == "fail" and res.detail == (
+        f"ranks: commutation {full.rank()}, exchange {full.rank() + 1}, "
+        f"union {full.rank() + 1}")
+    with pytest.raises(ValueError):
+        prop9_check(2, kernel_build(2, 3))
+
+
 def test_prop9_degenerate_window():
-    rep = prop9_check(2, 0)
+    rep = prop9_check(2, kernel_build(2, 0, EXCHANGE))
     assert rep.ok  # single-monomial window: both spans trivial
 
 
