@@ -7,23 +7,15 @@ script walks through the basic objects.
 """
 
 from qlzero.laurent import (LaurentPoly, lp_divided_difference, lp_scale,
-                            lp_specialize, lp_swap, lp_to_text)
-from qlzero.scalars import eta_expand, qpow, qq_int, rfq_normalize, qp_from_dict
+                            lp_specialize, lp_swap)
+from qlzero.scalars import RatFuncQ, qp_from_dict, qpow
 
 print("== scalars ==")
-a = rfq_normalize(qp_from_dict({2: 1, 0: -1}), qp_from_dict({1: 1, 0: -1}))
+a = RatFuncQ(qp_from_dict({2: 1, 0: -1}), qp_from_dict({1: 1, 0: -1}))
 print("(q^2-1)/(q-1) reduces to", a)
 
 s = qpow(1) + qpow(-1)
 print("q + q^-1 =", s, "   inverse:", s.inv(), "   product:", s * s.inv())
-
-print("\n== the normalizing series ==")
-eta = eta_expand(4)
-for d in range(5):
-    print(f"  coefficient of z^{d}:", eta[d])
-inv = eta_expand(4, inverse=True)
-check = sum((eta[k] * inv[3 - k] for k in range(4)), qq_int(0))
-print("  eta * eta^{-1} at order 3:", check)
 
 print("\n== Laurent polynomials ==")
 f = LaurentPoly.monomial(2, (2, -1)) + LaurentPoly.monomial(2, (0, 1), qpow(3))
@@ -36,6 +28,3 @@ print("check (z1-z2)*d(f) == swap(f) - f:", zdiff * g == lp_swap(f, 1, 2) - f)
 
 print("scaled z1 by q^4:", lp_scale(f, 1, qpow(4)))
 print("specialized z2 := q^-2 z1:", lp_specialize(f, 2, 1, qpow(-2)))
-
-print("\nserialized form:")
-print(lp_to_text(f))

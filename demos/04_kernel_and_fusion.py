@@ -8,11 +8,11 @@ the compatibility of the twisted generators with fusion singles out the
 fourth power of q - a wrong scale visibly fails.
 """
 
-from qlzero.fusion import fuse, rhof_check
-from qlzero.kernel import kernel_build, tensor_to_vec
-from qlzero.laurent import LaurentPoly
+from qlzero.fusion import rhof_check
+from qlzero.kernel import (fusion_prefactor, fusion_relation, fusion_weight, kernel_build,
+                           tensor_to_vec)
 from qlzero.scalars import qpow
-from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
+from qlzero.tensor import MINUS, PLUS, TensorPoly
 
 print("== building the relation window (two slots, depth 3) ==")
 kb = kernel_build(2, 3)
@@ -31,9 +31,12 @@ fused = tensor_to_vec(y) | tensor_to_vec(vac)
 print(f"mixed-sign symbol + q*vacuum: member={kb.member(fused)}  <- the fusion relation")
 print("its certificate:", kb.certificate(fused))
 
-print("\n== the fusion map ==")
-print("fuse(v+ v-):", fuse(TensorPoly.basis((PLUS, MINUS), LaurentPoly.one(2)), 1))
-print("fuse(invariant):", fuse(singlet_vector(2), 1))
+print("\n== the fusion relation ==")
+print("channel weights at (2, 1): +", fusion_weight(2, 1, PLUS),
+      "  -", fusion_weight(2, 1, MINUS))
+print("prefactor of pair (2, 3) among three slots:", fusion_prefactor(3, 2, 2))
+for eps in ((PLUS, MINUS), (MINUS, PLUS)):
+    print(f"relation of {eps} at depth 0:", fusion_relation(eps, 1, 0))
 
 print("\n== fusion compatibility of the twisted generators ==")
 rep = rhof_check(2, kb)

@@ -6,13 +6,11 @@ its residual is identically zero (or an exact kernel-membership certificate
 exists).  No floating point is used anywhere.
 """
 
-from .scalars import RatFuncQ, rfq_normalize, eta_expand, qpow, QQ_ONE, QQ_ZERO, qq_int
+from .scalars import RatFuncQ, qpow, QQ_ONE, QQ_ZERO, qq_int
 from .laurent import LaurentPoly
 
 __all__ = [
     "RatFuncQ",
-    "rfq_normalize",
-    "eta_expand",
     "qpow",
     "qq_int",
     "QQ_ONE",

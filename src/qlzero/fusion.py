@@ -1,4 +1,4 @@
-"""Fusion: adjacent-pair specialization and the sector-lowering maps.
+"""Fusion compatibility and the two forms of E0: statement-level checks.
 
 The fusion locus sets the (j+1)-st series variable to q^{-2} times the
 j-th.  On the invariant channel of the adjacent pair this connects the
@@ -7,37 +7,23 @@ N-spinon window with the (N-2)-spinon window, with channel weights
 
     prod_{i<j} (z_i - q^2 z_j) prod_{i>=j+2} (q^{-2} z_j - q^2 z_i),
 
-the j-th variable surviving as a spectator.  rhof_check verifies that the
-twisted lowering/raising generators commute with this identification
-modulo the relation ideal - the compatibility that forces the scale
-parameter to be the fourth power of q (a negative control at q^3 fails).
+the j-th variable surviving as a spectator.  That identification is
+`kernel.fusion_relation`, which also generates the FUS relations.
+rhof_check verifies that the twisted lowering/raising generators commute
+with it modulo the relation ideal - the compatibility that forces the
+scale parameter to be the fourth power of q (a negative control at q^3
+fails).  e0_forms_check compares the direct and S/G-chain forms of E0.
 """
 
 from __future__ import annotations
 
-from .kernel import (KernelBasis, fusion_prefactor, fusion_relation, fusion_weight,
-                     specialize_adjacent)
+from .kernel import KernelBasis, fusion_relation
 from .report import CheckReport, record, timer
 from .scalars import RatFuncQ, qpow
 from .series import expanded_e0_sym, series_e0, series_f0
-from .tensor import MINUS, PLUS, TensorPoly, sign_strings, singlet_contract
+from .tensor import TensorPoly, sign_strings
 
 P_FUSION = qpow(4)
-
-
-def fuse(x: TensorPoly, j: int) -> TensorPoly:
-    """Contract slots (j, j+1) on the fusion locus with the stated channel
-    weights and attach the polynomial prefactors.  The result has two fewer
-    slots and keeps the j-th variable as a spectator."""
-    if x.arity < 2:
-        raise ValueError("fusion needs at least two slots")
-    N = x.arity
-    out = singlet_contract(specialize_adjacent(x, j), j,
-                           {a: fusion_weight(N, j, a) for a in (PLUS, MINUS)})
-    return out.mul_poly(fusion_prefactor(N, j, out.nvars))
-
-
-# -- statement-level checks --------------------------------------------------
 
 
 def rhof_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:

@@ -116,11 +116,6 @@ def G_poly(f: LaurentPoly, j: int, k: int, exponent: int = 1) -> LaurentPoly:
     return lp_apply(f, lambda expo: _g_mono(f.arity, expo, j, k, exponent))
 
 
-def G_apply(x: TensorPoly, j: int, k: int, exponent: int = 1) -> TensorPoly:
-    """G acts on coefficients only; tensor slots are untouched."""
-    return x.map_coeffs(lambda f: G_poly(f, j, k, exponent))
-
-
 def R_apply(x: TensorPoly, j: int, k: int) -> tuple[TensorPoly, LaurentPoly]:
     """Cross-multiplied R-matrix at argument z_k/z_j on slots (j, k).
 

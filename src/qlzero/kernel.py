@@ -29,6 +29,7 @@ depth rather than eliminating the exchange family again.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from .hecke import G_poly, R_numerator_op, S_PAIR
@@ -726,17 +727,22 @@ def prop8_check(N: int, kb: KernelBasis) -> CheckReport:
     counts = {"A": 0, "B": 0}
     fails = {"A": 0, "B": 0}
     with timer() as t:
+        first_b = None
         for vec, tag in iter_ab_relations(N, D):
             fam = tag[0]
+            if fam == "B" and first_b is None:
+                first_b = time.perf_counter()
             counts[fam] += 1
             if not kb.member(vec):
                 fails[fam] += 1
+    # the A relations all come first; A's time runs to the first B relation
+    a_secs = t.seconds if first_b is None else first_b - t.t0
     record(rep, f"prop8.equal_pair.N{N}",
            "equal-sign root symmetrization lies in the exchange kernel",
-           counts["A"], fails["A"], f"{counts['A']} coefficients", t.seconds)
+           counts["A"], fails["A"], f"{counts['A']} coefficients", a_secs)
     record(rep, f"prop8.mixed_pair.N{N}",
            "mixed-sign root symmetrization lies in the exchange kernel",
-           counts["B"], fails["B"], f"{counts['B']} coefficients", t.seconds)
+           counts["B"], fails["B"], f"{counts['B']} coefficients", t.seconds - a_secs)
 
     # negative control: one unsymmetrized term alone is not in the kernel
     with timer() as t:

@@ -2,8 +2,8 @@
 
 A LaurentPoly of arity N maps exponent tuples (length N, entries any sign)
 to nonzero RatFuncQ coefficients.  Terms with zero coefficient are never
-stored, and printing/serialization walks terms in lexicographic order, so
-equal values have equal text forms.
+stored, and printing walks terms in lexicographic order, so equal values
+print alike.
 
 The variable operators below (swap, divided difference, scale, specialize)
 are the atoms from which the Hecke-type operators of the higher modules are
@@ -292,30 +292,3 @@ def lp_apply(f: LaurentPoly, image) -> LaurentPoly:
 def _check_pair(f: LaurentPoly, j: int, k: int):
     if not (1 <= j <= f.arity and 1 <= k <= f.arity) or j == k:
         raise IndexError("variable pair out of range")
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def lp_to_text(f: LaurentPoly) -> str:
-    """One term per line: `e1 e2 ... eN : num/den` in lexicographic order."""
-    lines = [f"arity {f.arity}"]
-    for e in sorted(f.terms):
-        lines.append(" ".join(str(x) for x in e) + " : " + f.terms[e].to_text())
-    return "\n".join(lines) + "\n"
-
-
-def lp_from_text(text: str) -> LaurentPoly:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "arity":
-        raise ValueError("missing arity header")
-    arity = int(head[1])
-    terms: dict[tuple, RatFuncQ] = {}
-    for ln in lines[1:]:
-        left, right = ln.split(":")
-        e = tuple(int(x) for x in left.split())
-        c = RatFuncQ.from_text(right.strip())
-        if c:
-            terms[e] = c
-    return LaurentPoly(arity, terms)

@@ -59,12 +59,6 @@ class NormalForm:
 
     terms: list  # [(eps, zeta_mode_vector, coeff)]
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, NormalForm) and self.terms == other.terms
-
     def __repr__(self):
         if not self.terms:
             return "0"

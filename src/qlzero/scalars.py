@@ -16,12 +16,12 @@ Almost every coefficient the checks touch is a Laurent polynomial: its
 denominator is c*q^k with c > 0.  Such a fraction reduces by its q-valuation
 and integer content alone (`_reduce_mono`), so products, sums and
 normalizations with monomial denominators never compute a polynomial gcd.
-Any other denominator (the cyclotomic factors from pivots and eta factors)
-goes through `qp_gcd`.  A gcd or exact division with a monomial side c*q^k
-never runs the PRS: `qp_gcd` returns q^min(k, val) times gcd(|c|, content)
-of the other side, and `qp_div_exact` shifts and divides the integers.
-Only a gcd of two non-monomials runs the primitive PRS.  Exact division in
-Z[q] is integer-only.
+Any other denominator (the cyclotomic factors from pivots and from
+1/(q - q^{-1})) goes through `qp_gcd`.  A gcd or exact division with a
+monomial side c*q^k never runs the PRS: `qp_gcd` returns q^min(k, val)
+times gcd(|c|, content) of the other side, and `qp_div_exact` shifts and
+divides the integers.  Only a gcd of two non-monomials runs the primitive
+PRS.  Exact division in Z[q] is integer-only.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ def qp_add(a: QP, b: QP) -> QP:
 
 def qp_neg(a: QP) -> QP:
     return tuple(-c for c in a)
-
-
-def qp_sub(a: QP, b: QP) -> QP:
-    return qp_add(a, qp_neg(b))
 
 
 def qp_mul(a: QP, b: QP) -> QP:
@@ -383,11 +379,6 @@ def _reduce(num: QP, den: QP) -> tuple[QP, QP]:
     return num, den
 
 
-def rfq_normalize(num: QP, den: QP = QP_ONE) -> RatFuncQ:
-    """Canonical reduced fraction of two q-polynomials."""
-    return RatFuncQ(num, den)
-
-
 QQ_ZERO = RatFuncQ(QP_ZERO, QP_ONE, _reduced=True)
 QQ_ONE = RatFuncQ(QP_ONE, QP_ONE, _reduced=True)
 
@@ -410,29 +401,3 @@ def is_q_monomial(s: RatFuncQ) -> bool:
         return sum(1 for c in p if c) == 1
 
     return bool(s.num) and mono(s.num) and mono(s.den)
-
-
-def eta_expand(order: int, inverse: bool = False) -> list[RatFuncQ]:
-    """Truncated z-expansion of the fusion-normalizing infinite product
-
-        eta(z) = prod_{n>=0} (1 - q^{4n+6} z) / (1 - q^{4n+4} z)
-
-    or of its reciprocal: entry d is the exact Q(q) coefficient of z^d."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    direct = [QQ_ONE]
-    # Functional equation eta(z)(1 - q^4 z) = (1 - q^6 z) eta(q^4 z) gives
-    # eta_D = q^4 (1 - q^{4D-2})/(1 - q^{4D}) eta_{D-1}.
-    for d in range(1, order + 1):
-        ratio = RatFuncQ(qp_sub(qp_monomial(4), qp_monomial(4 * d + 2)),
-                         qp_sub(QP_ONE, qp_monomial(4 * d)))
-        direct.append(direct[-1] * ratio)
-    if not inverse:
-        return direct
-    inv = [QQ_ONE]
-    for d in range(1, order + 1):
-        acc = QQ_ZERO
-        for k in range(1, d + 1):
-            acc = acc + direct[k] * inv[d - k]
-        inv.append(-acc)
-    return inv

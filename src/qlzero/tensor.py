@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 
 from .laurent import LaurentPoly
 from .linalg import accumulate
-from .scalars import QQ_ONE, RatFuncQ, eta_expand, qpow, qq_int
+from .scalars import QQ_ONE, RatFuncQ, qpow, qq_int
 from .windows import cone_exponents
 
 SignString = tuple  # tuple of +1 / -1
@@ -226,45 +226,27 @@ def t_diag(x: TensorPoly, sign: int = 1) -> TensorPoly:
 
 # -- the quantum-group generators (opposite-coproduct tensor action) --------
 
-# slot-moving generators: (new sign, tail on the right, mode shift)
-_SLOT_MOVES = {"e1": (PLUS, True, 0), "f1": (MINUS, False, 0),
-               "e0aff": (MINUS, True, 1), "f0aff": (PLUS, False, -1)}
+# slot-moving generators: (new sign, tail on the right)
+_SLOT_MOVES = {"e1": (PLUS, True), "f1": (MINUS, False)}
 
 
 def uq_apply(gen: str, x: TensorPoly) -> TensorPoly:
-    """Iterated opposite-coproduct action on a mode window.
+    """Iterated opposite-coproduct action of U_q(sl_2) on a mode window.
 
-    Single-slot actions: e1 turns - into +, f1 turns + into -, t1 scales by
-    q^{eps}; the affine pair additionally shifts the slot's mode by +1 (e0)
-    or -1 (f0) and flips the other way; qd multiplies each term by q to the
-    total mode.  Tails of t-factors implement the opposite coproduct:
-    e-type generators carry t's to the right of the moving slot, f-type
-    generators carry inverse t's to the left (t0 = t1^{-1}).
+    e1 turns - into +, f1 turns + into -, t1 scales by q^{eps}.  Tails of
+    t-factors implement the opposite coproduct: e1 carries t's to the right
+    of the moving slot, f1 carries inverse t's to the left.  The level-0
+    generators E0/F0 are `level0.e0_apply`/`f0_apply`.
     """
     if gen in ("t1", "t1inv"):
         return t_diag(x, 1 if gen == "t1" else -1)
-    if gen == "qd":
-        return x.map_coeffs(lambda p: LaurentPoly(
-            p.arity, {expo: c * qpow(sum(expo)) for expo, c in p.terms.items()}))
     if gen not in _SLOT_MOVES:
         raise ValueError(f"unknown generator {gen!r}")
-    to, right, shift = _SLOT_MOVES[gen]
+    to, right = _SLOT_MOVES[gen]
     out = TensorPoly.zero(x.arity, x.nvars)
     for j in range(1, x.arity + 1):
-        y = dressed_slot(x, j, to, right)
-        if shift:
-            y = y.map_coeffs(lambda p: _shift_mode(p, j, shift))
-        out += y
+        out += dressed_slot(x, j, to, right)
     return out
-
-
-def _shift_mode(p: LaurentPoly, j: int, d: int) -> LaurentPoly:
-    out = {}
-    for expo, c in p.terms.items():
-        t = list(expo)
-        t[j - 1] += d
-        out[tuple(t)] = c
-    return LaurentPoly(p.arity, out)
 
 
 _SINGLET_SECOND = qq_int(-1) * qpow(-1)
@@ -287,72 +269,25 @@ def triplet_vectors() -> list[TensorPoly]:
             + TensorPoly.basis((MINUS, PLUS), one.scale_coeffs(qpow(1)))]
 
 
-def singlet_contract(x: TensorPoly, j: int, channel: dict | None = None) -> TensorPoly:
+def singlet_contract(x: TensorPoly, j: int) -> TensorPoly:
     """Project slots j, j+1 onto the invariant channel.
 
-    A pair (a, -a) goes to channel[a] times the string without the pair;
-    equal signs die.  The default channel is the dual invariant vector:
-    weight 1 at (+,-) and -q^{-1} at (-,+).  Variables are untouched.
+    A pair (a, -a) goes to the dual invariant vector's weight at a (1 at
+    (+,-) and -q^{-1} at (-,+)) times the string without the pair; equal
+    signs die.  Variables are untouched.
     """
     if x.arity < 2 or not (1 <= j <= x.arity - 1):
         raise ValueError("need two adjacent slots")
-    weights = _SINGLET_CHANNEL if channel is None else channel
 
     def images(e):
         a = e[j - 1]
         if a + e[j]:
             return ()
-        return ((e[: j - 1] + e[j + 1:], weights[a]),)
+        return ((e[: j - 1] + e[j + 1:], _SINGLET_CHANNEL[a]),)
 
     return x.relabel(images, grow=-2)
-
-
-# -- change of basis between mode symbols and monomial tensors --------------
 
 
 def kappa(N: int) -> tuple:
     """Triangular offset vector; component j is floor((N-j)/2)."""
     return tuple((N - j) // 2 for j in range(1, N + 1))
-
-
-def basis_change_F_monomial(direction: str, eps: SignString, m: tuple,
-                            depth: int) -> TensorPoly:
-    """Expand one basis symbol through the normalizing infinite products.
-
-    direction 'forward'  : mode symbol at m  ->  monomial tensors,
-    direction 'backward' : monomial tensor at m  ->  mode symbols.
-
-    The expansion runs over the positive cone spanned by the adjacent steps
-    (-1 at k, +1 at k+1); depth bounds the total number of steps.  Exact to
-    the stated depth.
-    """
-    N = len(eps)
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    inverse = direction == "forward"
-    eta = eta_expand(depth, inverse=inverse)
-    kap = kappa(N)
-    sign = 1 if direction == "forward" else -1
-    pairs = [(j, k) for j in range(N) for k in range(j + 1, N)]
-    eps = tuple(eps)
-    out = TensorPoly.zero(N)
-
-    def rec(i: int, budget: int, shift: list, coeff: RatFuncQ):
-        if i == len(pairs):
-            n = tuple(m[t] + sign * kap[t] + shift[t] for t in range(N))
-            accumulate(out.terms, ((eps, LaurentPoly.monomial(N, n, coeff)),))
-            return
-        j, k = pairs[i]
-        step = k - j
-        d = 0
-        while d * step <= budget:
-            c = coeff * eta[d]
-            if c:
-                shift2 = list(shift)
-                shift2[j] -= d
-                shift2[k] += d
-                rec(i + 1, budget - d * step, shift2, c)
-            d += 1
-
-    rec(0, depth, [0] * N, QQ_ONE)
-    return out

@@ -27,9 +27,6 @@ class Window:
         rng = range(self.lo, self.hi + 1)
         return itertools.product(rng, repeat=self.arity)
 
-    def contains(self, expo: tuple) -> bool:
-        return all(self.lo <= e <= self.hi for e in expo)
-
     @property
     def depth(self) -> int:
         return -self.lo

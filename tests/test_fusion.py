@@ -1,14 +1,10 @@
-from qlzero.fusion import (
-    e0_forms_check,
-    fuse,
-    rhof_check,
-    specialize_adjacent,
-)
-from qlzero.kernel import kernel_build
+from qlzero.fusion import e0_forms_check, rhof_check
+from qlzero.kernel import (fusion_prefactor, fusion_relation, fusion_weight,
+                           kernel_build, specialize_adjacent)
 from qlzero.laurent import LaurentPoly
-from qlzero.scalars import qpow, qq_int
+from qlzero.scalars import QQ_ONE, qpow
 from qlzero.series import series_e0
-from qlzero.tensor import MINUS, PLUS, TensorPoly, singlet_vector
+from qlzero.tensor import MINUS, PLUS, TensorPoly
 
 
 def test_specialize_adjacent_basics():
@@ -22,23 +18,28 @@ def test_specialize_adjacent_basics():
     assert specialize_adjacent(x + x2, 1) == specialize_adjacent(x, 1) + specialize_adjacent(x2, 1)
 
 
-def test_fuse_channel_weights():
-    one2 = LaurentPoly.one(2)
-    f1 = fuse(TensorPoly.basis((PLUS, MINUS), one2), 1)
-    assert f1.coeff(()) == LaurentPoly.one(1).scale_coeffs(qq_int(-1) * qpow(1))
-    f2 = fuse(TensorPoly.basis((MINUS, PLUS), one2), 1)
-    assert f2.coeff(()) == LaurentPoly.one(1)
-    f3 = fuse(singlet_vector(2), 1)
-    assert f3.coeff(()) == LaurentPoly.one(1).scale_coeffs(-(qpow(1) + qpow(-1)))
-    assert not fuse(TensorPoly.basis((PLUS, PLUS), one2), 1)
+def test_fusion_channel_weights():
+    # (-q)^{n-j+(eps_j-1)/2}: the + channel carries one more factor of -q
+    assert fusion_weight(2, 1, PLUS) == -qpow(1)
+    assert fusion_weight(2, 1, MINUS) == QQ_ONE
+    assert fusion_weight(3, 2, PLUS) == -qpow(1)
 
 
-def test_fuse_attaches_prefactors_at_three_slots():
-    x = TensorPoly.basis((PLUS, PLUS, MINUS), LaurentPoly.one(3))
-    y = fuse(x, 2)
-    # slots (2,3) contract; the prefactor is z1 - q^2 z2 with z2 the spectator
+def test_fusion_prefactor_at_three_slots():
+    # pair (2,3) of three slots: z1 - q^2 z2 with z2 the spectator
     pref = LaurentPoly.var(2, 1) - LaurentPoly.var(2, 2).scale_coeffs(qpow(2))
-    assert y == TensorPoly.basis((PLUS,), pref.scale_coeffs(qq_int(-1) * qpow(1)))
+    assert fusion_prefactor(3, 2, 2) == pref
+
+
+def test_fusion_relation_vacuum_coefficients():
+    # at depth 0 the two-slot relation is the specialized symbol minus the
+    # channel weight times the vacuum symbol
+    vac = ((), ())
+    for eps, c in (((PLUS, MINUS), qpow(1)), ((MINUS, PLUS), -QQ_ONE)):
+        rel = fusion_relation(eps, 1, 0)
+        assert rel.terms[vac] == LaurentPoly.const(1, c)
+    # like signs have no reduced window
+    assert vac not in fusion_relation((PLUS, PLUS), 1, 0).terms
 
 
 def test_rhof_small_and_controls():

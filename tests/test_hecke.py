@@ -2,7 +2,6 @@ import random
 
 from qlzero import hecke
 from qlzero.hecke import (
-    G_apply,
     G_poly,
     R_apply,
     S_apply,
@@ -77,12 +76,6 @@ def test_g_matches_its_definition():
             dd = mult * lp_divided_difference(f, j, k)
             for ex in (1, -1):
                 assert G_poly(f, j, k, ex) == dd + f.scale_coeffs(qpow(ex)), (j, k, ex)
-
-
-def test_g_apply_touches_coefficients_only():
-    x = TensorPoly.basis((PLUS, MINUS), LaurentPoly.var(2, 2))
-    y = G_apply(x, 1, 2)
-    assert set(y.terms) == {(PLUS, MINUS)}
 
 
 def test_r_apply_diagonal_entry():

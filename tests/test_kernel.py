@@ -257,6 +257,9 @@ def test_prop9_and_prop8_small():
     assert prop9_check(2, kernel_build(2, 3, EXCHANGE)).ok
     rep = prop8_check(2, kernel_build(2, 2, ("HEC", "HWT")))
     assert rep.ok, rep.lines()
+    # each family reports its own time, not the time of the whole loop
+    secs = {r.name: r.seconds for r in rep.results}
+    assert secs["prop8.equal_pair.N2"] != secs["prop8.mixed_pair.N2"]
 
 
 def test_prop9_fails_on_an_exchange_window_missing_generators():

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from qlzero.laurent import (
     LaurentPoly,
     lp_divided_difference,
-    lp_from_text,
     lp_scale,
     lp_specialize,
     lp_swap,
-    lp_to_text,
 )
 from qlzero.scalars import QQ_ONE, qpow, qq_int
 
@@ -131,11 +129,3 @@ def test_ring_axioms(ts1, ts2):
     assert f * g == g * f
     assert f * (g + g) == f * g + f * g
 
-
-def test_serialization_roundtrip_and_determinism():
-    rng = random.Random(4)
-    for _ in range(20):
-        f = rand_poly(rng, arity=3)
-        text = lp_to_text(f)
-        assert lp_from_text(text) == f
-        assert lp_to_text(lp_from_text(text)) == text

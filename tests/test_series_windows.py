@@ -12,7 +12,6 @@ from qlzero.locality import LocalityLedger
 def test_window_exponents_and_bounds():
     w = Window(2, -2)
     assert len(list(w.exponents())) == 9
-    assert w.contains((-2, 0)) and not w.contains((-3, 0))
     assert w.depth == 2
     with pytest.raises(ValueError):
         Window(2, 1, 0)

@@ -1,11 +1,10 @@
 from qlzero.laurent import LaurentPoly
-from qlzero.scalars import QQ_ONE, qpow, qq_int
+from qlzero.scalars import qpow
 from qlzero.tensor import (
     GradedSlot,
     MINUS,
     PLUS,
     TensorPoly,
-    basis_change_F_monomial,
     kappa,
     sign_strings,
     singlet_contract,
@@ -22,15 +21,6 @@ def test_generator_annihilates_invariant_vector():
     assert uq_apply("t1", v) == v
 
 
-def test_affine_mode_shift_single_slot():
-    x = TensorPoly.basis((PLUS,), LaurentPoly.one(1))
-    y = uq_apply("e0aff", x)
-    assert y == TensorPoly.monomial((MINUS,), (1,))
-    x2 = TensorPoly.basis((MINUS,), LaurentPoly.one(1))
-    assert uq_apply("f0aff", x2) == TensorPoly.monomial((PLUS,), (-1,))
-    assert not uq_apply("e0aff", x2)
-
-
 def test_sum_with_negation_stores_no_terms():
     x = singlet_vector(2) + TensorPoly.monomial((PLUS, PLUS), (1, -1))
     x += -x
@@ -40,11 +30,6 @@ def test_sum_with_negation_stores_no_terms():
 def test_t1_on_doubly_raised():
     x = TensorPoly.basis((PLUS, PLUS), LaurentPoly.one(2))
     assert uq_apply("t1", x) == x.scale(qpow(2))
-
-
-def test_qd_grades_by_total_mode():
-    x = TensorPoly.monomial((PLUS,), (-2,))
-    assert uq_apply("qd", x) == x.scale(qpow(-2))
 
 
 def test_coproduct_iteration_matches_two_slot_table():
@@ -96,39 +81,6 @@ def test_kappa_values_and_integrality():
     assert kappa(4) == (1, 1, 0, 0)
     for n in range(1, 9):
         assert all(isinstance(k, int) for k in kappa(n))
-
-
-def test_basis_change_single_slot_identity():
-    for eps in ((PLUS,), (MINUS,)):
-        x = basis_change_F_monomial("forward", eps, (-2,), 5)
-        assert x == TensorPoly.monomial(eps, (-2,))
-
-
-def test_basis_change_leading_term_unit():
-    x = basis_change_F_monomial("forward", (PLUS, MINUS), (-1, -1), 3)
-    lead = x.coeff((PLUS, MINUS)).coeff((-1, -1))
-    assert lead == QQ_ONE
-
-
-def test_basis_change_triangular_inverse():
-    depth = 4
-    eps = (PLUS, MINUS)
-    m = (-2, -1)
-    fwd = basis_change_F_monomial("forward", eps, m, depth)
-    acc = {}
-    for e, p in fwd.terms.items():
-        for n, c in p.terms.items():
-            back = basis_change_F_monomial("backward", e, n, depth)
-            for e2, p2 in back.terms.items():
-                for m2, c2 in p2.terms.items():
-                    key = (e2, m2)
-                    acc[key] = acc.get(key, qq_int(0)) + c * c2
-    # within the lattice depth the composite is the identity
-    for (e2, m2), c in acc.items():
-        steps = sum(abs(m2[i] - m[i]) for i in range(2)) // 2
-        if steps <= depth // 2:
-            want = QQ_ONE if (e2, m2) == (eps, m) else qq_int(0)
-            assert c == want, ((e2, m2), c)
 
 
 def test_sign_strings_order_deterministic():
