@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .kernel import (EXCHANGE, KernelBasis, KernelTable, sector_shift,
-                     specialize_adjacent)
+from .kernel import (EXCHANGE, KernelBasis, KernelTable, coefficients,
+                     sector_shift, specialize_adjacent)
 from .report import CheckReport, record, timer
 from .tensor import TensorPoly, sign_strings
 
@@ -102,9 +102,8 @@ def iter_spec_coefficients(n: int, max_degree: int):
     for j in range(1, n):
         for eps in sign_strings(n):
             lhs = specialize_adjacent(TensorPoly.window(eps, max_degree), j)
-            for expo, vec in lhs.extract_all().items():
-                if vec and sum(expo) <= max_degree:
-                    yield vec, f"SPEC.n{n}.j{j}.{expo}"
+            for expo, vec in coefficients(lhs, max_degree):
+                yield vec, f"SPEC.n{n}.j{j}.{expo}"
 
 
 def sector_quotient_counts(N: int, exch: KernelBasis) -> dict:

@@ -50,7 +50,6 @@ SCALE_SUITES = {"affine-hecke", "rhosg"}
 PAIR_SUITES = {"hecke", "rhosg", "prop8", "prop9", "rhof", "rewriter"}
 # suites judged on a relation window -D..0; the others take a box window
 DEPTH_SUITES = {"chevalley", "prop8", "prop9", "rhof", "rewriter", "e0forms"}
-FULL = ("HEC", "FUS", "HWT")
 
 JOB_KEYS = {"suite", "n", "window", "p"}
 CONFIG_KEYS = {"suites", "out"}
@@ -136,7 +135,7 @@ def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
     if name == "prop9":
         return prop9_check(n, kernel(EXCHANGE))
     if name == "rhof":
-        kb = kernel(FULL)
+        kb = kernel(FAMILIES)
         rep = rhof_check(n, kb)
         if n == 2:
             rep.extend(rhof_check(2, kb, qpow(3)))
@@ -146,7 +145,7 @@ def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
     if name == "evalmod":
         return evaluation_module_suite(n)
     if name == "rewriter":
-        kb_full = kernel(FULL)
+        kb_full = kernel(FAMILIES)
         rep = rewriter_soundness_check(n, kernel(EXCHANGE), kb_full)
         rep.extend(rewriter_completeness_check(n, kb_full))
         return rep
@@ -226,6 +225,8 @@ def cmd_kernel(args) -> int:
 def cmd_chars(args) -> int:
     if args.dmax < 0:
         raise ConfigError(f"--dmax is a degree, at least 0, got {args.dmax}")
+    if args.nmax < 0:
+        raise ConfigError(f"--nmax is a sector bound, at least 0, got {args.nmax}")
     res = graded_character(args.dmax, args.nmax)
     ws = sorted({w for _, w in set(res["table"]) | set(res["oracle"])})
     lines = ["deg  " + " ".join(f"w={w:+d}".rjust(6) for w in ws)]

@@ -17,8 +17,8 @@ fails).  e0_forms_check compares the direct and S/G-chain forms of E0.
 
 from __future__ import annotations
 
-from .kernel import KernelBasis, fusion_relation
-from .report import CheckReport, record, timer
+from .kernel import KernelBasis, coefficients, fusion_relation
+from .report import CheckReport, record, tally
 from .scalars import RatFuncQ, qpow
 from .series import expanded_e0_sym, series_e0, series_f0
 from .tensor import TensorPoly, sign_strings
@@ -45,28 +45,20 @@ def rhof_check(N: int, kb: KernelBasis, p: RatFuncQ = P_FUSION) -> CheckReport:
     D = kb.max_degree
     j = N - 1
     for gen, series in (("e0", series_e0), ("f0", series_f0)):
-        with timer() as t:
-            n_checked = 0
-            n_bad = 0
-            for eps in sign_strings(N):
-                diff = fusion_relation(eps, j, D, lambda X: series(X, p))
-                for expo, vec in diff.extract_all().items():
-                    # a target of exponent sum t draws on window symbols of
-                    # degree t on both sides; complete through t = D
-                    if not vec or sum(expo) > D:
-                        continue
-                    n_checked += 1
-                    if not kb.member(vec):
-                        n_bad += 1
+        # a target of exponent sum t draws on window symbols of degree t on both sides
+        n_checked, n_bad, seconds = tally(
+            not kb.member(vec) for eps in sign_strings(N)
+            for _expo, vec in coefficients(
+                fusion_relation(eps, j, D, lambda X: series(X, p)), D))
         if p == P_FUSION:
             record(rep, f"rhof.{gen}.N{N}",
                    "specialization of the twisted generator matches the fused window",
-                   n_checked, n_bad, f"{n_checked} coefficients, p={p!r}", t.seconds)
+                   n_checked, n_bad, f"{n_checked} coefficients, p={p!r}", seconds)
         else:
             record(rep, f"rhof.{gen}.control.N{N}",
                    "wrong scale parameter must break fusion compatibility",
                    n_checked, n_bad == 0, f"{n_bad}/{n_checked} coefficients fail, p={p!r}",
-                   t.seconds)
+                   seconds)
     return rep
 
 
@@ -76,20 +68,11 @@ def e0_forms_check(N: int, kb: KernelBasis) -> CheckReport:
     both collapse)."""
     rep = CheckReport(f"generator forms N={N}")
     D = kb.max_degree
-    with timer() as t:
-        n_checked = n_bad = 0
-        for eps in sign_strings(N):
-            X = TensorPoly.window(eps, D)
-            direct = series_e0(X, P_FUSION)
-            expanded = expanded_e0_sym(X, P_FUSION).scale(qpow(N - 1))
-            diff = direct - expanded
-            for expo, vec in diff.extract_all().items():
-                if not vec or sum(expo) > D:
-                    continue
-                n_checked += 1
-                if not kb.member(vec):
-                    n_bad += 1
+    windows = (TensorPoly.window(eps, D) for eps in sign_strings(N))
+    n_checked, n_bad, seconds = tally(
+        not kb.member(vec) for X in windows for _expo, vec in coefficients(
+            series_e0(X, P_FUSION) - expanded_e0_sym(X, P_FUSION).scale(qpow(N - 1)), D))
     record(rep, f"e0.forms.N{N}",
            "direct and chain forms of E0 agree modulo the exchange family",
-           n_checked, n_bad, f"{n_checked} coefficients", t.seconds)
+           n_checked, n_bad, f"{n_checked} coefficients", seconds)
     return rep

@@ -29,13 +29,13 @@ depth rather than eliminating the exchange family again.
 from __future__ import annotations
 
 import json
-import time
+from itertools import groupby
 from pathlib import Path
 
 from .hecke import G_poly, R_numerator_op, S_PAIR
 from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
 from .linalg import LinearBasis, accumulate
-from .report import CheckReport, record, timer
+from .report import CheckReport, record, tally, timer
 from .scalars import RatFuncQ, qpow, qq_int, RatFuncQ as _RF
 from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
 from .windows import cone_cell
@@ -182,22 +182,28 @@ def fusion_relation(eps: tuple, j: int, max_degree: int, apply=None) -> TensorPo
     return lhs - rhs.scale(fusion_weight(n, j, eps[j - 1]))
 
 
+def coefficients(series: TensorPoly, max_degree: int):
+    """(exponent, vector) pairs of a symbol series of total degree <=
+    max_degree: the coefficients that a window of that depth holds
+    completely.  Every vector is nonzero."""
+    for expo, vec in series.extract_all().items():
+        if sum(expo) <= max_degree:
+            yield expo, vec
+
+
 def iter_fus_generators(n: int, max_degree: int):
     """Fusion generators from sector n into sector n-2.
 
-    For each source string and fusion pair j, the fusion relation is
-    extracted coefficient by coefficient; every nonzero coefficient of
-    total value degree <= max_degree is a generator (complete by
+    For each source string and fusion pair j, every coefficient of the
+    fusion relation up to max_degree is a generator (complete by
     homogeneity).
     """
     if n < 2:
         return
     for j in range(1, n):
         for eps in sign_strings(n):
-            diff = fusion_relation(eps, j, max_degree)
-            for expo, vec in diff.extract_all().items():
-                if sum(expo) <= max_degree and vec:
-                    yield vec, f"FUS.n{n}.j{j}.{_eps_str(eps)}.{expo}"
+            for expo, vec in coefficients(fusion_relation(eps, j, max_degree), max_degree):
+                yield vec, f"FUS.n{n}.j{j}.{_eps_str(eps)}.{expo}"
 
 
 def _eps_str(eps: tuple) -> str:
@@ -589,9 +595,8 @@ def prop9_check(N: int, exch: KernelBasis) -> CheckReport:
                          - R_numerator_op(w, j, j + 1, j, j + 1))
                 # a target of exponent sum t draws on symbols of degree t-1,
                 # so everything up to t = depth+1 is complete in this window
-                for expo, vec in fam_a.extract_all().items():
-                    if vec and sum(expo) <= depth + 1:
-                        comm.add(vec, "A")
+                for _expo, vec in coefficients(fam_a, depth + 1):
+                    comm.add(vec, "A")
         union = comm.copy()
         for basis in exch.cells.values():
             for row in basis.pivots.values():
@@ -679,8 +684,6 @@ def iter_ab_relations(N: int, max_degree: int):
             base = fbar[eps_bar]
             diff = base.map_coeffs(lambda p: lp_swap(p, k, k + 1)) - base
             for expo, vec in diff.extract_all().items():
-                if not vec:
-                    continue
                 if (fbar_target_complete(eps_bar, expo, max_degree)
                         and fbar_target_complete(eps_bar, _swap_expo(expo, k),
                                                  max_degree)):
@@ -699,8 +702,6 @@ def iter_ab_relations(N: int, max_degree: int):
             mult_id = zk + zk1.scale_coeffs(qpow(1))
             comb = (sa + sb).mul_poly(mult_sw) - (a + b).mul_poly(mult_id)
             for expo, vec in comb.extract_all().items():
-                if not vec:
-                    continue
                 swapped = _swap_expo(expo, k)
                 if all(fbar_target_complete(eps, e2, max_degree, extra=1)
                        for eps in (eps_pm, eps_mp) for e2 in (expo, swapped)):
@@ -724,30 +725,20 @@ def prop8_check(N: int, kb: KernelBasis) -> CheckReport:
     rep = CheckReport(f"normal-ordering membership N={N}")
     D = kb.max_degree
 
-    counts = {"A": 0, "B": 0}
-    fails = {"A": 0, "B": 0}
-    with timer() as t:
-        first_b = None
-        for vec, tag in iter_ab_relations(N, D):
-            fam = tag[0]
-            if fam == "B" and first_b is None:
-                first_b = time.perf_counter()
-            counts[fam] += 1
-            if not kb.member(vec):
-                fails[fam] += 1
-    # the A relations all come first; A's time runs to the first B relation
-    a_secs = t.seconds if first_b is None else first_b - t.t0
-    record(rep, f"prop8.equal_pair.N{N}",
-           "equal-sign root symmetrization lies in the exchange kernel",
-           counts["A"], fails["A"], f"{counts['A']} coefficients", a_secs)
-    record(rep, f"prop8.mixed_pair.N{N}",
-           "mixed-sign root symmetrization lies in the exchange kernel",
-           counts["B"], fails["B"], f"{counts['B']} coefficients", t.seconds - a_secs)
+    # the A relations all come first, so A's tally runs through the
+    # generation of the first B relation, where its group ends
+    tallies = {fam: tally(not kb.member(vec) for vec, _tag in rels)
+               for fam, rels in groupby(iter_ab_relations(N, D), key=lambda r: r[1][0])}
+    for fam, pair, signs in (("A", "equal_pair", "equal"), ("B", "mixed_pair", "mixed")):
+        n, bad, seconds = tallies.get(fam, (0, 0, 0.0))
+        record(rep, f"prop8.{pair}.N{N}",
+               f"{signs}-sign root symmetrization lies in the exchange kernel",
+               n, bad, f"{n} coefficients", seconds)
 
     # negative control: one unsymmetrized term alone is not in the kernel
     with timer() as t:
         found_nonmember = any(
-            vec and fbar_target_complete(eps_bar, expo, D)
+            fbar_target_complete(eps_bar, expo, D)
             and fbar_target_complete(eps_bar, _swap_expo(expo, 1), D)
             and not kb.member(vec)
             for eps_bar in sign_strings(N)

@@ -4,8 +4,9 @@ Every check produces one CheckResult with a stable identifier, the name of
 the relation it exercises, a pass/fail/skipped status and a residual, the
 number of instances whose residual did not vanish.  One rule, in `record`,
 decides the status: any nonzero residual fails, a check that compared
-nothing is skipped, every other check passes.  `check` counts and times a
-stream of residuals for it.  Reports serialize as JSON lines.
+nothing is skipped, every other check passes.  `tally` counts and times a
+stream of residuals for it, and `check` records that tally.  Reports
+serialize as JSON lines.
 """
 
 from __future__ import annotations
@@ -92,16 +93,22 @@ def record(report: CheckReport, name: str, relation: str, checked: int, bad: int
     report.add(CheckResult(name, relation, status, detail, int(bad), seconds))
 
 
-def check(report: CheckReport, name: str, relation: str, residuals,
-          detail: str = ""):
-    """Judge a stream of residuals, one per instance, consumed under the
-    check's timer.  A residual is any value that is true when its instance
-    failed: the difference of the two sides, or `lhs != rhs` of canonical
-    forms, which skips building the difference."""
+def tally(residuals) -> tuple[int, int, float]:
+    """(checked, bad, seconds) of a stream of residuals, one per instance,
+    consumed under one timer.  A residual is any value that is true when
+    its instance failed: the difference of the two sides, or `lhs != rhs`
+    of canonical forms, which skips building the difference."""
     with timer() as t:
         checked = bad = 0
         for r in residuals:
             checked += 1
             if r:
                 bad += 1
-    record(report, name, relation, checked, bad, detail, t.seconds)
+    return checked, bad, t.seconds
+
+
+def check(report: CheckReport, name: str, relation: str, residuals,
+          detail: str = ""):
+    """Judge a stream of residuals by `record` on its `tally`."""
+    checked, bad, seconds = tally(residuals)
+    record(report, name, relation, checked, bad, detail, seconds)

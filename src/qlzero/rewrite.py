@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .kernel import (KernelBasis, iter_ab_relations, iter_fus_generators,
                      sector_caps, symbol_grade)
-from .report import CheckReport, record, timer
+from .report import CheckReport, record, tally, timer
 from .tensor import TensorPoly
 
 
@@ -71,13 +71,12 @@ class NormalForm:
 
 class RewriteSystem(KernelBasis):
     """Oriented relation window for the sector chain N, N-2, ...: the
-    graded span of the symmetrization rows (and the fusion generators),
+    graded span of the symmetrization rows and the fusion generators,
     pivoting in rewrite order."""
 
-    def __init__(self, N: int, max_degree: int, fusion: bool = True):
-        super().__init__(sector_caps(N, max_degree, fusion), key=rewrite_key)
-        self.extend(*((iter_ab_relations, iter_fus_generators) if fusion
-                      else (iter_ab_relations,)))
+    def __init__(self, N: int, max_degree: int):
+        super().__init__(sector_caps(N, max_degree), key=rewrite_key)
+        self.extend(iter_ab_relations, iter_fus_generators)
 
     def normal_form(self, x) -> NormalForm:
         """Canonical admissible representative of a window element."""
@@ -108,24 +107,16 @@ def rewriter_soundness_check(N: int, kb_hec: KernelBasis,
     """
     rep = CheckReport(f"rewriter soundness N={N}")
     D = kb_full.max_degree
-    with timer() as t:
-        n_ab = bad_ab = 0
-        for vec, tag in iter_ab_relations(N, D):
-            n_ab += 1
-            if kb_hec.certificate(vec) is None:
-                bad_ab += 1
+    n_ab, bad_ab, seconds = tally(kb_hec.certificate(vec) is None
+                                  for vec, _tag in iter_ab_relations(N, D))
     record(rep, f"rewriter.sound.ab.N{N}",
            "every symmetrization rule certifies against the exchange kernel",
-           n_ab, bad_ab, f"{n_ab} rules with certificates", t.seconds)
-    with timer() as t:
-        n_f = bad_f = 0
-        for vec, tag in iter_fus_generators(N, D):
-            n_f += 1
-            if not kb_full.member(vec):
-                bad_f += 1
+           n_ab, bad_ab, f"{n_ab} rules with certificates", seconds)
+    n_f, bad_f, seconds = tally(not kb_full.member(vec)
+                                for vec, _tag in iter_fus_generators(N, D))
     record(rep, f"rewriter.sound.fus.N{N}",
            "every fusion rule lies in the relation window", n_f, bad_f,
-           f"{n_f} rules", t.seconds)
+           f"{n_f} rules", seconds)
     return rep
 
 
@@ -154,18 +145,15 @@ def rewriter_completeness_check(N: int, kb: KernelBasis) -> CheckReport:
            n_cells, len(bad), f"{len(grades)} cells" + (f"; first {bad[0]}" if bad else ""),
            t.seconds)
 
-    with timer() as t:
-        probes = n_bad = 0
-        for grade in sorted(kb.cells)[:6]:
-            for sym in kb.cell_columns(grade)[:4]:
-                x = TensorPoly.monomial(sym[0], sym[1])
-                nf1 = rs.normal_form(x)
-                back = {symbol_of(eps, n): c for eps, n, c in nf1.terms}
-                if (rs.normal_form(back).terms != nf1.terms
-                        or not all(map(rs.is_admissible, back))):
-                    n_bad += 1
-                probes += 1
+    def moved(sym):
+        nf1 = rs.normal_form(TensorPoly.monomial(*sym))
+        back = {symbol_of(eps, n): c for eps, n, c in nf1.terms}
+        return (rs.normal_form(back).terms != nf1.terms
+                or not all(map(rs.is_admissible, back)))
+
+    probes, n_bad, seconds = tally(moved(sym) for grade in sorted(kb.cells)[:6]
+                                   for sym in kb.cell_columns(grade)[:4])
     record(rep, f"rewriter.idempotent.N{N}",
            "normal forms are fixed points on admissible symbols", probes, n_bad,
-           f"{probes} probes", t.seconds)
+           f"{probes} probes", seconds)
     return rep

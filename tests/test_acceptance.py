@@ -14,7 +14,7 @@ from qlzero.kernel import (EXCHANGE, KernelTable, iter_hec_generators,
                            kernel_build, prop8_check, prop9_check, vec_to_tensor)
 from qlzero.level0 import chevalley_check, e0_apply, f0_apply, rhosg_check
 from qlzero.locality import DECLARED_MARGINS, LEDGER
-from qlzero.report import CheckReport, record, timer
+from qlzero.report import CheckReport, record, tally
 from qlzero.scalars import qpow
 from qlzero.windows import Window
 
@@ -89,18 +89,17 @@ def _well_defined(rep: CheckReport, N: int, depth: int, kb):
     """E0 and F0 carry every exchange generator into the kernel, so they
     act on the quotient at all."""
     p = qpow(4)
-    with timer() as t:
-        n = bad = 0
-        for vec, _tag in iter_hec_generators(N, depth):
-            g = vec_to_tensor(vec, N)
-            for op in (e0_apply, f0_apply):
-                img = op(g, p)
-                n += 1
-                if img and not kb.member(img):
-                    bad += 1
+
+    def images(vec):
+        g = vec_to_tensor(vec, N)
+        return (op(g, p) for op in (e0_apply, f0_apply))
+
+    n, bad, seconds = tally(img and not kb.member(img)
+                            for vec, _tag in iter_hec_generators(N, depth)
+                            for img in images(vec))
     record(rep, f"quotient.welldefined.N{N}",
            "E0, F0 map the exchange generators into the kernel",
-           n, bad, f"{n} images, {bad} outside", t.seconds)
+           n, bad, f"{n} images, {bad} outside", seconds)
 
 
 def test_criterion_07_quotient_relations():

@@ -99,8 +99,9 @@ def test_reports_byte_identical_modulo_timing(tmp_path):
     assert strip(a) == strip(b)
 
 
-# The five operator suites at the sizes of the benchmark's `operators`
-# workload, and the SHA-256 of their report without the `seconds` field.
+# The suites of the benchmark's three workloads (bench/workloads.py), each
+# with the row count and the SHA-256 of its report without the `seconds`
+# field.  `quotient` runs cold here: its kernels are built, not loaded.
 OPERATOR_JOBS = [
     {"suite": "hecke", "n": 4, "window": "-3..0"},
     {"suite": "lemmas"},
@@ -108,19 +109,41 @@ OPERATOR_JOBS = [
     {"suite": "rhosg", "n": 3, "window": "-3..0", "p": "generic-sample"},
     {"suite": "evalmod", "n": 3},
 ]
-OPERATOR_REPORT_SHA256 = "bd2c83a2f7b1ad2c698a7a0a5e8a05dce0f224003f6ebc361080b8f6d15ba3be"
+IDEAL_JOBS = [
+    {"suite": "rhof", "n": 3, "window": "-4..0"},
+    {"suite": "rhof", "n": 2, "window": "-4..0"},
+    {"suite": "prop9", "n": 3, "window": "-4..0"},
+    {"suite": "prop8", "n": 2, "window": "-4..0"},
+    {"suite": "rewriter", "n": 2, "window": "-4..0"},
+    {"suite": "characters"},
+]
+QUOTIENT_JOBS = [
+    {"suite": "chevalley", "n": 2, "window": "-4..0"},
+    {"suite": "chevalley", "n": 3, "window": "-4..0"},
+    {"suite": "rhof", "n": 3, "window": "-3..0"},
+]
+GOLDEN_REPORTS = {
+    "operators": (OPERATOR_JOBS, 39,
+                  "bd2c83a2f7b1ad2c698a7a0a5e8a05dce0f224003f6ebc361080b8f6d15ba3be"),
+    "ideal": (IDEAL_JOBS, 19,
+              "acf09e92d6877ed228b052ae636d37652ee9e5d8e0b29b01ccd64e45ab68d49f"),
+    "quotient": (QUOTIENT_JOBS, 11,
+                 "66aea2572e91348ce2098c1c1dac805f1b8300f98b06284af366ca21392cf9cf"),
+}
 
 
-def test_operator_report_golden(tmp_path):
+@pytest.mark.parametrize("workload", sorted(GOLDEN_REPORTS))
+def test_report_golden(tmp_path, workload):
+    jobs, n_rows, digest = GOLDEN_REPORTS[workload]
     cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
-    cfg.write_text(json.dumps({"suites": OPERATOR_JOBS}))
-    rc, _o, _e = run("check", "--config", str(cfg), "--out", str(out))
-    assert rc == 0
+    cfg.write_text(json.dumps({"suites": jobs}))
+    rc, _o, err = run("check", "--config", str(cfg), "--out", str(out))
+    assert rc == 0, err
     rows = [{k: v for k, v in json.loads(ln).items() if k != "seconds"}
             for ln in out.read_text().splitlines()]
     blob = "\n".join(json.dumps(r, sort_keys=True) for r in rows)
-    assert len(rows) == 39
-    assert hashlib.sha256(blob.encode()).hexdigest() == OPERATOR_REPORT_SHA256
+    assert len(rows) == n_rows
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_kernel_command_and_cache(tmp_path):
@@ -233,17 +256,6 @@ def test_cache_gets_a_derived_exchange_window_once_asked_for(tmp_path):
         "kernel-N2-D1-FUS-HEC-HWT.txt", "kernel-N2-D1-HEC-HWT.txt"]
 
 
-# the suites of the benchmark's `ideal` workload (bench/workloads.py)
-IDEAL_JOBS = [
-    {"suite": "rhof", "n": 3, "window": "-4..0"},
-    {"suite": "rhof", "n": 2, "window": "-4..0"},
-    {"suite": "prop9", "n": 3, "window": "-4..0"},
-    {"suite": "prop8", "n": 2, "window": "-4..0"},
-    {"suite": "rewriter", "n": 2, "window": "-4..0"},
-    {"suite": "characters"},
-]
-
-
 def test_check_eliminates_each_span_once(tmp_path, monkeypatch, capsys):
     from collections import Counter
 
@@ -306,10 +318,12 @@ def test_chars_command():
 
 
 def test_chars_negative_degree_exit_two():
-    # a table of no degrees would print only its header
-    rc, out, err = run("chars", "--dmax", "-1")
-    assert rc == 2 and "--dmax" in err and "Traceback" not in err, err
-    assert out == ""
+    # a table of no degrees would print only its header, and one of no
+    # sectors all zeros, as if the oracle disagreed
+    for flag in ("--dmax", "--nmax"):
+        rc, out, err = run("chars", flag, "-1")
+        assert rc == 2 and flag in err and "Traceback" not in err, err
+        assert out == ""
 
 
 def test_dump_command():

@@ -2,7 +2,7 @@ import pytest
 
 from qlzero.kernel import specialize_adjacent
 from qlzero.laurent import LaurentPoly, lp_insert_var, lp_swap
-from qlzero.report import CheckReport, CheckResult, check, record
+from qlzero.report import CheckReport, CheckResult, check, record, tally
 from qlzero.scalars import qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly, e_op
 from qlzero.windows import Window, cone_cell, cone_exponents
@@ -77,6 +77,9 @@ def test_check_verdict_from_the_residuals():
     assert got == {"x.empty": ("skipped", 0), "x.two_bad": ("fail", 2),
                    "x.clean": ("pass", 0)}
     assert rep.summary() == "demo: 1/3 checks passed, 1 skipped"
+    checked, bad, seconds = tally([0, [1], "", {}, True, 0])
+    assert (checked, bad) == (6, 2) and seconds >= 0.0
+    assert tally(iter(()))[:2] == (0, 0)
 
 
 def test_record_rule_and_int_residual():
