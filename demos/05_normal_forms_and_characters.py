@@ -7,11 +7,12 @@ strongest global consistency check the engine runs.
 """
 
 from qlzero.characters import graded_character, sector_count
+from qlzero.kernel import SymmetrizationStream
 from qlzero.rewrite import RewriteSystem
 from qlzero.tensor import MINUS, PLUS, TensorPoly
 
 print("== normal forms on the two-spinon window ==")
-rs = RewriteSystem(2, 4)
+rs = RewriteSystem(SymmetrizationStream(2, 4))
 print(f"{rs.rank()} oriented rules on the chain {rs.sectors}")
 examples = [
     TensorPoly.monomial((PLUS, PLUS), (-1, -2)),

@@ -107,8 +107,9 @@ def parse_job(name: str, cfg: dict) -> tuple:
 
 
 def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
-    """Run one job; the relation-window suites get their windows, at the
-    job's depth, from the run's kernel table."""
+    """Run one job; the relation-window suites get their windows, and
+    prop8 and the rewriter their symmetrization stream, at the job's depth,
+    from the run's kernel table."""
     n, window, ps = parse_job(name, cfg)
 
     def kernel(families):
@@ -131,7 +132,7 @@ def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
     if name == "chevalley":
         return chevalley_check(n, kernel(EXCHANGE))
     if name == "prop8":
-        return prop8_check(n, kernel(EXCHANGE))
+        return prop8_check(n, kernel(EXCHANGE), table.stream(n, window))
     if name == "prop9":
         return prop9_check(n, kernel(EXCHANGE))
     if name == "rhof":
@@ -145,9 +146,9 @@ def run_suite(name: str, cfg: dict, table: KernelTable) -> CheckReport:
     if name == "evalmod":
         return evaluation_module_suite(n)
     if name == "rewriter":
-        kb_full = kernel(FAMILIES)
-        rep = rewriter_soundness_check(n, kernel(EXCHANGE), kb_full)
-        rep.extend(rewriter_completeness_check(n, kb_full))
+        kb_full, stream = kernel(FAMILIES), table.stream(n, window)
+        rep = rewriter_soundness_check(n, kernel(EXCHANGE), kb_full, stream)
+        rep.extend(rewriter_completeness_check(n, kb_full, stream))
         return rep
     if name == "e0forms":
         return e0_forms_check(n, kernel(EXCHANGE))

@@ -23,12 +23,18 @@ has been recomputed and compared with the vector exactly.
 
 A run holds its windows in one KernelTable, which eliminates each span
 once: a window with fusion extends a copy of the exchange window of its
-depth rather than eliminating the exchange family again.
+depth rather than eliminating the exchange family again.  The table also
+generates each symmetrization stream once per run (SymmetrizationStream):
+the coefficient relations of the root-variable symmetrization families,
+grouped into exact scale classes, so that prop8 and the rewriter judge each
+class once and still count every relation.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
@@ -36,7 +42,8 @@ from .hecke import G_poly, R_numerator_op, S_PAIR
 from .laurent import LaurentPoly, lp_insert_var, lp_specialize, lp_swap
 from .linalg import LinearBasis, accumulate
 from .report import CheckReport, record, tally, timer
-from .scalars import RatFuncQ, qpow, qq_int, RatFuncQ as _RF
+from .scalars import (QP_ONE, RatFuncQ, qp_div_exact, qp_gcd, qp_mul, qpow,
+                      qq_int, RatFuncQ as _RF)
 from .tensor import MINUS, PLUS, TensorPoly, kappa, sign_strings
 from .windows import cone_cell
 
@@ -104,17 +111,20 @@ def g_row_coeffs(N: int, mu: tuple, j: int) -> dict:
     return out
 
 
-def hec_generator(eps: tuple, mu: tuple, j: int) -> dict:
-    """Exchange-family generator at source eps, cone target mode mu, pair j."""
+def hec_generator(eps: tuple, mu: tuple, j: int, g_row: dict | None = None) -> dict:
+    """Exchange-family generator at source eps, cone target mode mu, pair j;
+    g_row is `g_row_coeffs(len(eps), mu, j)`, which does not depend on eps."""
     vec = accumulate({}, (((eps[:j - 1] + ab + eps[j + 1:], mu), c)
                           for ab, c in S_PAIR[(eps[j - 1], eps[j])]))
-    g_row = g_row_coeffs(len(eps), mu, j)
+    if g_row is None:
+        g_row = g_row_coeffs(len(eps), mu, j)
     return accumulate(vec, (((eps, m), -c) for m, c in g_row.items()))
 
 
 def iter_hec_generators(N: int, max_degree: int):
     """All exchange generators with support in degrees <= max_degree, one
-    per cone target mode, source string and pair.
+    per cone target mode, source string and pair; the G row of a (mode,
+    pair) is computed once for all source strings.
 
     Targets with a positive mode add nothing: G keeps a pair's exponents
     inside their segment, so such a target has no cone column, and its slot
@@ -123,9 +133,10 @@ def iter_hec_generators(N: int, max_degree: int):
     strs = sign_strings(N)
     for d in range(max_degree + 1):
         for mu in cone_cell(N, -d):
+            g_rows = {j: g_row_coeffs(N, mu, j) for j in range(1, N)}
             for eps in strs:
                 for j in range(1, N):
-                    vec = hec_generator(eps, mu, j)
+                    vec = hec_generator(eps, mu, j, g_rows[j])
                     if vec:
                         yield vec, f"HEC.N{N}.j{j}.{_eps_str(eps)}.{mu}"
 
@@ -516,13 +527,23 @@ class KernelTable:
     span fills).  A window with FUS is the `full_window` of the table's
     exchange window.  A span built here is written to the cache when a
     caller asks for it, so an exchange window built only to derive a full
-    one gets no file.
+    one gets no file.  Beside the windows the table hands out one
+    symmetrization stream per (N, depth), for prop8 and the rewriter.
     """
 
     def __init__(self, cache: Path | None = None):
         self.cache = cache
         self.spans: dict[str, KernelBasis] = {}
+        self.streams: dict[tuple, SymmetrizationStream] = {}
         self._unsaved: set[str] = set()
+
+    def stream(self, N: int, depth: int) -> SymmetrizationStream:
+        """The symmetrization stream of sector N at this depth, generated
+        once per run."""
+        s = self.streams.get((N, depth))
+        if s is None:
+            s = self.streams[(N, depth)] = SymmetrizationStream(N, depth)
+        return s
 
     def get(self, N: int, depth: int, families: tuple) -> KernelBasis:
         key = _table_key(N, depth, families)
@@ -719,16 +740,128 @@ def _fbar_target_ok(eps_bar: tuple, expo: tuple, max_degree: int,
     return deg2 % 2 == 0 and 0 <= deg2 // 2 <= max_degree
 
 
-def prop8_check(N: int, kb: KernelBasis) -> CheckReport:
-    """Both root-variable symmetrization families land in the exchange
-    kernel kb; a lone unsymmetrized term does not."""
+def _integral_form(vec: dict) -> tuple:
+    """(support, polynomials): vec over its sorted support, times a common
+    denominator, divided by the integer content and the power of q that
+    all entries share, the first leading coefficient made positive.  Two
+    vectors that differ by a factor a*q^k (a rational) get the same form."""
+    syms = sorted(vec)
+    vals = [vec[s] for s in syms]
+    den = QP_ONE
+    for c in vals:
+        if c.den != den:
+            den = qp_mul(den, qp_div_exact(c.den, qp_gcd(den, c.den)))
+    polys = [c.num if c.den == den else qp_mul(c.num, qp_div_exact(den, c.den))
+             for c in vals]
+    val = min(next(i for i, x in enumerate(p) if x) for p in polys)
+    g = math.gcd(*(x for p in polys for x in p))
+    if polys[0][-1] < 0:
+        g = -g
+    return tuple(syms), tuple(tuple(x // g for x in p[val:]) for p in polys)
+
+
+def _primitive_form(form: tuple) -> tuple:
+    """An integral form divided by the polynomial gcd of its entries.  Z[q]
+    has unique factorization, so two nonzero vectors have the same
+    primitive form exactly when one is c times the other for some c in
+    Q(q)."""
+    syms, polys = form
+    g = min(polys, key=len)
+    for p in polys:
+        if len(g) == 1:
+            return form
+        g = qp_gcd(g, p)
+    return syms, tuple(qp_div_exact(p, g) for p in polys)
+
+
+class SymmetrizationStream:
+    """The symmetrization relations of sector N to a depth
+    (`iter_ab_relations`), generated once and judged once per scale class.
+
+    Entries v and u are in one scale class when v = c*u for some c in Q(q).
+    The class of an entry is found by comparing exact primitive forms in
+    Z[q] (`_primitive_form`), as integer tuples, so no hash or sampled value
+    decides it; the first entry of a class represents it.  A verdict on the
+    representative u holds for every entry of its class: membership in a
+    span is invariant under nonzero scaling, and a certificate of u, checked
+    by recomputation, times the exactly checked scale c certifies c*u.
+    Each entry is still counted and reported on its own.  The stream also
+    holds sector N's fusion generators, extracted on first use.
+    """
+
+    def __init__(self, N: int, depth: int):
+        self.N, self.depth = N, depth
+        self.entries: list = []   # (vec, tag, class index), in stream order
+        self.classes: list = []   # (vec, tag) of the first entry of each class
+        forms: dict = {}          # integral form -> class index
+        index: dict = {}          # primitive form -> class index
+        for vec, tag in iter_ab_relations(N, depth):
+            form = _integral_form(vec)
+            k = forms.get(form)
+            if k is None:
+                k = forms[form] = index.setdefault(_primitive_form(form), len(index))
+                if k == len(self.classes):
+                    self.classes.append((vec, tag))
+            self.entries.append((vec, tag, k))
+
+    def expect(self, N: int, depth: int):
+        """ValueError unless this is the stream of sector N at this depth."""
+        if (self.N, self.depth) != (N, depth):
+            raise ValueError(f"stream of N={self.N}, depth {self.depth} "
+                             f"used for N={N}, depth {depth}")
+
+    @cached_property
+    def fus(self) -> list:
+        """Sector N's fusion generators, (vec, tag) pairs, to the depth."""
+        return list(iter_fus_generators(self.N, self.depth))
+
+    def judged(self, verdict):
+        """(tag, verdict) per entry, in stream order; `verdict` is called on
+        a class's representative once, at the first entry of the class."""
+        memo: dict = {}
+        for _vec, tag, k in self.entries:
+            if k not in memo:
+                memo[k] = verdict(self.classes[k][0])
+            yield tag, memo[k]
+
+    def scale(self, i: int) -> RatFuncQ:
+        """c with entry i = c * its class representative, checked symbol by
+        symbol; ArithmeticError if the entry is no such multiple."""
+        vec, _tag, k = self.entries[i]
+        rep = self.classes[k][0]
+        sym = next(iter(rep))
+        c = vec[sym] / rep[sym]
+        if vec.keys() != rep.keys() or any(c * x != vec[s] for s, x in rep.items()):
+            raise ArithmeticError(f"entry {i} is not a multiple of its class")
+        return c
+
+    def certificates(self, kb: KernelBasis):
+        """(tag, certificate) per entry, None for a non-member of kb.
+
+        `kb.certificate` runs once per class, on the representative u, and
+        returns cert(u) only after recomputing its sum.  An entry v = c*u
+        gets c*cert(u): c is checked against every coefficient by `scale`,
+        so that sum is c*u = v exactly.
+        """
+        for i, (tag, cert) in enumerate(self.judged(kb.certificate)):
+            if cert is not None:
+                c = self.scale(i)
+                cert = {t: c * x for t, x in cert.items()}
+            yield tag, cert
+
+
+def prop8_check(N: int, kb: KernelBasis, stream: SymmetrizationStream) -> CheckReport:
+    """Both root-variable symmetrization families of the stream land in the
+    exchange kernel kb, judged once per scale class and counted per entry;
+    a lone unsymmetrized term does not."""
     rep = CheckReport(f"normal-ordering membership N={N}")
     D = kb.max_degree
+    stream.expect(N, D)
 
-    # the A relations all come first, so A's tally runs through the
-    # generation of the first B relation, where its group ends
-    tallies = {fam: tally(not kb.member(vec) for vec, _tag in rels)
-               for fam, rels in groupby(iter_ab_relations(N, D), key=lambda r: r[1][0])}
+    # the A relations all come first
+    tallies = {fam: tally(bad for _tag, bad in rels)
+               for fam, rels in groupby(stream.judged(lambda u: not kb.member(u)),
+                                        key=lambda r: r[0][0])}
     for fam, pair, signs in (("A", "equal_pair", "equal"), ("B", "mixed_pair", "mixed")):
         n, bad, seconds = tallies.get(fam, (0, 0, 0.0))
         record(rep, f"prop8.{pair}.N{N}",

@@ -13,14 +13,20 @@ vectors are farther from weakly decreasing order (with minus before plus
 at equal modes), so admissible symbols come out weakly ordered - the
 precise admissible set is whatever survives, and its counting is certified
 by the character comparison, not by a closed formula.
+
+The symmetrization rows come from the run's `kernel.SymmetrizationStream`,
+generated once per run and judged once per scale class: the system
+eliminates one representative per class (the classes span what the whole
+stream spans, so the reduced rows are the same), and soundness certifies
+each class once and every relation through its exact scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (KernelBasis, iter_ab_relations, iter_fus_generators,
-                     sector_caps, symbol_grade)
+from .kernel import (KernelBasis, SymmetrizationStream, sector_caps,
+                     symbol_grade)
 from .report import CheckReport, record, tally, timer
 from .tensor import TensorPoly
 
@@ -70,13 +76,19 @@ class NormalForm:
 
 
 class RewriteSystem(KernelBasis):
-    """Oriented relation window for the sector chain N, N-2, ...: the
-    graded span of the symmetrization rows and the fusion generators,
-    pivoting in rewrite order."""
+    """Oriented relation window for the sector chain N, N-2, ... of the
+    stream's sector and depth: the graded span of the symmetrization rows
+    and the fusion generators, pivoting in rewrite order.  Each sector
+    feeds one representative per scale class of its stream (the sectors
+    below N get streams of their own) and its fusion generators."""
 
-    def __init__(self, N: int, max_degree: int):
-        super().__init__(sector_caps(N, max_degree), key=rewrite_key)
-        self.extend(iter_ab_relations, iter_fus_generators)
+    def __init__(self, stream: SymmetrizationStream):
+        super().__init__(sector_caps(stream.N, stream.depth), key=rewrite_key)
+        for n, cap in self.caps.items():
+            if n >= 2:
+                sector = stream if n == stream.N else SymmetrizationStream(n, cap)
+                for vec, tag in sector.classes + sector.fus:
+                    self.add(vec, tag)
 
     def normal_form(self, x) -> NormalForm:
         """Canonical admissible representative of a window element."""
@@ -96,36 +108,39 @@ class RewriteSystem(KernelBasis):
         return len(basis.standard_columns(columns))
 
 
-def rewriter_soundness_check(N: int, kb_hec: KernelBasis,
-                             kb_full: KernelBasis) -> CheckReport:
+def rewriter_soundness_check(N: int, kb_hec: KernelBasis, kb_full: KernelBasis,
+                             stream: SymmetrizationStream) -> CheckReport:
     """Every oriented rule is a certified member of the relation ideal.
 
     Symmetrization rows are certified against the exchange window kb_hec,
-    the independent operator-column route, each certificate checked by
-    recomputing its sum; fusion rows are tested against the full window
-    kb_full, whose depth the rules are built to.
+    the independent operator-column route: one certificate per scale class,
+    checked by recomputing its sum, and c times it for each row c times the
+    class representative (`SymmetrizationStream.certificates`).  Fusion
+    rows are tested against the full window kb_full, whose depth the rules
+    are built to.
     """
     rep = CheckReport(f"rewriter soundness N={N}")
-    D = kb_full.max_degree
-    n_ab, bad_ab, seconds = tally(kb_hec.certificate(vec) is None
-                                  for vec, _tag in iter_ab_relations(N, D))
+    stream.expect(N, kb_full.max_degree)
+    n_ab, bad_ab, seconds = tally(cert is None
+                                  for _tag, cert in stream.certificates(kb_hec))
     record(rep, f"rewriter.sound.ab.N{N}",
            "every symmetrization rule certifies against the exchange kernel",
            n_ab, bad_ab, f"{n_ab} rules with certificates", seconds)
-    n_f, bad_f, seconds = tally(not kb_full.member(vec)
-                                for vec, _tag in iter_fus_generators(N, D))
+    n_f, bad_f, seconds = tally(not kb_full.member(vec) for vec, _tag in stream.fus)
     record(rep, f"rewriter.sound.fus.N{N}",
            "every fusion rule lies in the relation window", n_f, bad_f,
            f"{n_f} rules", seconds)
     return rep
 
 
-def rewriter_completeness_check(N: int, kb: KernelBasis) -> CheckReport:
+def rewriter_completeness_check(N: int, kb: KernelBasis,
+                                stream: SymmetrizationStream) -> CheckReport:
     """Admissible counts equal the quotient dimensions of the full relation
-    window kb, cell by cell, for the same truncated chain; and normal forms
-    are idempotent."""
+    window kb, cell by cell, for the same truncated chain, with the
+    rewriting system of the stream; and normal forms are idempotent."""
     rep = CheckReport(f"rewriter completeness N={N}")
-    rs = RewriteSystem(N, kb.max_degree)
+    stream.expect(N, kb.max_degree)
+    rs = RewriteSystem(stream)
     with timer() as t:
         bad = []
         n_cells = 0

@@ -10,8 +10,9 @@ from qlzero.affine import affine_hecke_suite, lemma_suite
 from qlzero.characters import character_check
 from qlzero.fusion import rhof_check
 from qlzero.hecke import hecke_suite
-from qlzero.kernel import (EXCHANGE, KernelTable, iter_hec_generators,
-                           kernel_build, prop8_check, prop9_check, vec_to_tensor)
+from qlzero.kernel import (EXCHANGE, KernelTable, SymmetrizationStream,
+                           iter_hec_generators, kernel_build, prop8_check,
+                           prop9_check, vec_to_tensor)
 from qlzero.level0 import chevalley_check, e0_apply, f0_apply, rhosg_check
 from qlzero.locality import DECLARED_MARGINS, LEDGER
 from qlzero.report import CheckReport, record, tally
@@ -64,8 +65,9 @@ def test_criterion_03_exchange_identity():
 
 def test_criterion_04_normal_ordering_membership():
     rep = CheckReport("criterion 4: normal-ordering membership")
-    rep.extend(prop8_check(2, kernel_build(2, 3, EXCHANGE)))
-    rep.extend(prop8_check(3, kernel_build(3, 2, EXCHANGE)))
+    for n, depth in ((2, 3), (3, 2)):
+        rep.extend(prop8_check(n, kernel_build(n, depth, EXCHANGE),
+                               SymmetrizationStream(n, depth)))
     _finish("4 (root symmetrizations in the exchange kernel + control)", rep)
 
 
@@ -124,9 +126,11 @@ def test_criterion_09_rewriter():
     rep = CheckReport("criterion 9: rewriter")
     for n, depth in ((2, 3), (3, 2)):
         rep.extend(rewriter_soundness_check(n, kernel_build(n, depth, EXCHANGE),
-                                            kernel_build(n, depth)))
-    rep.extend(rewriter_completeness_check(2, kernel_build(2, 4)))
-    rep.extend(rewriter_completeness_check(3, kernel_build(3, 3)))
+                                            kernel_build(n, depth),
+                                            SymmetrizationStream(n, depth)))
+    for n, depth in ((2, 4), (3, 3)):
+        rep.extend(rewriter_completeness_check(n, kernel_build(n, depth),
+                                               SymmetrizationStream(n, depth)))
     _finish("9 (rewrite rules certified; counts equal quotient ranks)", rep)
 
 

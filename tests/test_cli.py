@@ -284,6 +284,33 @@ def test_check_eliminates_each_span_once(tmp_path, monkeypatch, capsys):
                             (2, 4, full): 1, (3, 4, full): 1})
 
 
+def test_check_generates_each_stream_once(tmp_path, monkeypatch, capsys):
+    # prop8 and the rewriter share one symmetrization stream, whose fusion
+    # generators soundness and the rewriting system share
+    from collections import Counter
+
+    from qlzero import cli, kernel
+
+    made = Counter()
+    ab, fus = kernel.iter_ab_relations, kernel.iter_fus_generators
+
+    def counted_ab(N, depth):
+        made["AB", N, depth] += 1
+        return ab(N, depth)
+
+    def counted_fus(N, depth):
+        made["FUS", N, depth] += 1
+        return fus(N, depth)
+
+    monkeypatch.setattr(kernel, "iter_ab_relations", counted_ab)
+    monkeypatch.setattr(kernel, "iter_fus_generators", counted_fus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": IDEAL_JOBS}))
+    assert cli.main(["check", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert made == Counter({("AB", 2, 4): 1, ("FUS", 2, 4): 1})
+
+
 def test_kernel_cache_keyed_by_full_family_names(tmp_path):
     for families in ("HEC", "HWT", "HEC,HWT"):
         rc, _out, err = run("kernel", "--n", "2", "--window=-1..0",

@@ -1,11 +1,14 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
+from qlzero import kernel
 from qlzero.kernel import (
     EXCHANGE,
     KernelBasis,
     KernelTable,
+    SymmetrizationStream,
     full_window,
     hec_generator,
     iter_ab_relations,
@@ -16,10 +19,11 @@ from qlzero.kernel import (
     prop9_check,
     sector_caps,
     symbol_grade,
+    symbol_key,
     tensor_to_vec,
 )
-from qlzero.rewrite import RewriteSystem
-from qlzero.scalars import qpow, qq_int
+from qlzero.rewrite import RewriteSystem, rewrite_key, rewriter_soundness_check
+from qlzero.scalars import RatFuncQ, qpow, qq_int
 from qlzero.tensor import MINUS, PLUS, TensorPoly
 
 
@@ -93,7 +97,7 @@ def test_certificate_non_member_and_spans_without_families():
     assert kb.certificate({}) == {}
     with pytest.raises(ValueError):
         kb.certificate(TensorPoly.monomial((PLUS, MINUS), (1, -1)))
-    for span in (RewriteSystem(2, 2), KernelBasis(sector_caps(2, 2))):
+    for span in (RewriteSystem(SymmetrizationStream(2, 2)), KernelBasis(sector_caps(2, 2))):
         with pytest.raises(ValueError):
             span.certificate(TensorPoly.monomial((PLUS, PLUS), (0, 0)))
 
@@ -227,7 +231,7 @@ def test_kernel_and_rewriter_share_the_window():
     # one window check: both spans reject a positive mode, a sector off the
     # chain and a degree above the cap, and agree on membership inside it
     kb = kernel_build(2, 2)
-    rs = RewriteSystem(2, 2)
+    rs = RewriteSystem(SymmetrizationStream(2, 2))
     assert kb.caps == rs.caps == {2: 2, 0: 2}
     outside = [((PLUS, MINUS), (1, -1)),
                ((PLUS,), (0,)),
@@ -255,11 +259,126 @@ def test_ab_span_equals_exchange_span():
 
 def test_prop9_and_prop8_small():
     assert prop9_check(2, kernel_build(2, 3, EXCHANGE)).ok
-    rep = prop8_check(2, kernel_build(2, 2, ("HEC", "HWT")))
+    rep = prop8_check(2, kernel_build(2, 2, ("HEC", "HWT")), SymmetrizationStream(2, 2))
     assert rep.ok, rep.lines()
     # each family reports its own time, not the time of the whole loop
     secs = {r.name: r.seconds for r in rep.results}
     assert secs["prop8.equal_pair.N2"] != secs["prop8.mixed_pair.N2"]
+
+
+# SHA-256 of the (tag, vector) sequence of iter_ab_relations at (N, depth):
+# the stream that prop8 and the rewriter judge.  Speed work must keep it.
+GOLDEN_AB_STREAMS = {
+    (2, 4): "fcad95bdee253c3d1f0c868aa4ff0456bee15882861c03bee91d291d7876f39b",
+    (2, 3): "5ce9542166f77824b3a539c91ab4f658312aabd1770f22fd4c88a90082d95eb0",
+}
+
+
+@pytest.mark.parametrize("N,depth,n_entries,n_classes", [(2, 4, 436, 33), (2, 3, 292, 22)])
+def test_symmetrization_stream_is_pinned(N, depth, n_entries, n_classes):
+    h = hashlib.sha256()
+    for vec, tag in iter_ab_relations(N, depth):
+        h.update(tag.encode())
+        for sym in sorted(vec, key=symbol_key):
+            h.update(f"|{sym}={vec[sym].to_text()}".encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GOLDEN_AB_STREAMS[N, depth]
+    stream = SymmetrizationStream(N, depth)
+    assert [(v, t) for v, t, _k in stream.entries] == list(iter_ab_relations(N, depth))
+    assert len(stream.entries) == n_entries and len(stream.classes) == n_classes
+
+
+def proportional(v, u):
+    """Whether v = c*u for some c in Q(q), by cross-multiplication."""
+    sym = next(iter(u))
+    return v.keys() == u.keys() and all(v[s] * u[sym] == u[s] * v[sym] for s in u)
+
+
+def test_stream_classes_are_exact_scale_classes():
+    stream = SymmetrizationStream(2, 4)
+    for i, (vec, _tag, k) in enumerate(stream.entries):
+        rep = stream.classes[k][0]
+        c = stream.scale(i)
+        assert {s: c * x for s, x in rep.items()} == vec
+    reps = [v for v, _t in stream.classes]
+    assert not any(proportional(v, u) for i, v in enumerate(reps) for u in reps[:i])
+
+
+def test_scale_classes_split_on_one_coefficient(monkeypatch):
+    # one class for v and its multiples by a non-monomial factor and by an
+    # integer times a q-power; a copy of v with one coefficient doubled is
+    # a class of its own
+    v = next(vec for vec, _tag in iter_ab_relations(2, 3) if len(vec) > 1)
+    c1, c2 = RatFuncQ((1, 0, 1), (0, 1)), qq_int(-2) * qpow(3)
+    sym = next(iter(v))
+    entries = [(v, "A.v"), ({s: c1 * x for s, x in v.items()}, "A.c1"),
+               ({**v, sym: v[sym] * qq_int(2)}, "A.w"),
+               ({s: c2 * x for s, x in v.items()}, "A.c2")]
+    monkeypatch.setattr(kernel, "iter_ab_relations", lambda N, depth: iter(entries))
+    stream = SymmetrizationStream(2, 3)
+    assert [k for _v, _t, k in stream.entries] == [0, 0, 1, 0]
+    assert [stream.scale(i) for i in range(4)] == [qq_int(1), c1, qq_int(1), c2]
+    stream.entries[1] = (entries[2][0], "A.c1", 0)
+    with pytest.raises(ArithmeticError):
+        stream.scale(1)
+
+
+def test_a_perturbed_entry_fails_alone(monkeypatch):
+    # an entry of a class of several, with one coefficient doubled: it is
+    # no multiple of its class and not in the kernel, so prop8 and the
+    # rewriter's soundness each report exactly one failure
+    kb = kernel_build(2, 4, EXCHANGE)
+    stream = SymmetrizationStream(2, 4)
+    sizes = Counter(k for _v, _t, k in stream.entries)
+    i, sym = next((i, s) for i, (vec, _tag, k) in enumerate(stream.entries)
+                  if sizes[k] > 1 and len(vec) > 1
+                  for s in vec if not kb.member({s: qq_int(1)}))
+    entries = list(iter_ab_relations(2, 4))
+    vec, tag = entries[i]
+    entries[i] = ({**vec, sym: vec[sym] * qq_int(2)}, tag)
+    monkeypatch.setattr(kernel, "iter_ab_relations", lambda N, depth: iter(entries))
+    bent = SymmetrizationStream(2, 4)
+    assert len(bent.classes) == len(stream.classes) + 1
+    clean = {r.name: r for r in prop8_check(2, kb, stream).results}
+    res = {r.name: r for r in prop8_check(2, kb, bent).results}
+    hit = "prop8.equal_pair.N2" if tag.startswith("A.") else "prop8.mixed_pair.N2"
+    for name in ("prop8.equal_pair.N2", "prop8.mixed_pair.N2"):
+        assert (res[name].status, res[name].residual) == (
+            ("fail", 1) if name == hit else ("pass", 0))
+        assert res[name].detail == clean[name].detail
+    assert clean[hit].status == "pass"
+    (ab, fus) = rewriter_soundness_check(2, kb, kernel_build(2, 4), bent).results
+    assert (ab.status, ab.residual, ab.detail) == ("fail", 1, "436 rules with certificates")
+    assert fus.status == "pass"
+
+
+def test_checks_reject_a_stream_of_another_window():
+    kb = kernel_build(2, 3, EXCHANGE)
+    for stream in (SymmetrizationStream(2, 2), SymmetrizationStream(3, 0)):
+        with pytest.raises(ValueError):
+            prop8_check(2, kb, stream)
+    table = KernelTable()
+    assert table.stream(2, 2) is table.stream(2, 2)
+
+
+def test_rewrite_system_feeds_each_sector_its_own_stream(monkeypatch):
+    # at N=4 the chain has a second sector with relations; the sector-4
+    # stream is left empty here (it is large), sector 2 gets its own
+    calls = []
+    real = kernel.iter_ab_relations
+
+    def ab(N, depth):
+        calls.append((N, depth))
+        return real(N, depth) if N == 2 else iter(())
+
+    monkeypatch.setattr(kernel, "iter_ab_relations", ab)
+    rs = RewriteSystem(SymmetrizationStream(4, 2))
+    assert calls == [(4, 2), (2, 0)] and rs.caps == {4: 2, 2: 0, 0: 0}
+    direct = KernelBasis(rs.caps, key=rewrite_key).extend(ab, iter_fus_generators)
+    assert {g: b.pivots for g, b in rs.cells.items()} == {
+        g: b.pivots for g, b in direct.cells.items()}
+    assert any(n == 2 for n in {len(eps) for grade in rs.cells
+                                for eps, _m in rs.cells[grade].pivots})
 
 
 def test_prop9_fails_on_an_exchange_window_missing_generators():

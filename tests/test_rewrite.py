@@ -1,6 +1,6 @@
 import pytest
 
-from qlzero.kernel import kernel_build
+from qlzero.kernel import SymmetrizationStream, kernel_build
 from qlzero.rewrite import (
     NormalForm,
     RewriteSystem,
@@ -21,14 +21,14 @@ def test_zeta_mode_labels():
 
 
 def test_already_admissible_fixed_point():
-    rs = RewriteSystem(2, 3)
+    rs = RewriteSystem(SymmetrizationStream(2, 3))
     x = TensorPoly.monomial((PLUS, PLUS), (0, -1))
     nf = rs.normal_form(x)
     assert nf.terms and nf == rs.normal_form(x)
 
 
 def test_equal_sign_pair_reorders():
-    rs = RewriteSystem(2, 4)
+    rs = RewriteSystem(SymmetrizationStream(2, 4))
     x = TensorPoly.monomial((PLUS, PLUS), (-1, -2))
     nf = rs.normal_form(x)
     assert len(nf.terms) == 1
@@ -38,14 +38,14 @@ def test_equal_sign_pair_reorders():
 
 
 def test_mixed_pair_rewrites_to_vacuum():
-    rs = RewriteSystem(2, 3)
+    rs = RewriteSystem(SymmetrizationStream(2, 3))
     nf = rs.normal_form(TensorPoly.monomial((PLUS, MINUS), (0, 0)))
     assert nf.terms == [((), (), qq_int(-1) * qpow(1))]
 
 
 def test_normal_form_convenience_and_idempotence():
     # the system sized to the element: two slots, degree 1
-    rs = RewriteSystem(2, 1)
+    rs = RewriteSystem(SymmetrizationStream(2, 1))
     x = TensorPoly.monomial((MINUS, PLUS), (0, -1))
     nf = rs.normal_form(x)
     assert isinstance(nf, NormalForm)
@@ -58,13 +58,13 @@ def test_normal_form_convenience_and_idempotence():
 
 
 def test_positive_mode_rejected():
-    rs = RewriteSystem(2, 2)
+    rs = RewriteSystem(SymmetrizationStream(2, 2))
     with pytest.raises(ValueError):
         rs.normal_form(TensorPoly.monomial((PLUS, MINUS), (1, -1)))
 
 
 def test_linearity_of_reduction():
-    rs = RewriteSystem(2, 3)
+    rs = RewriteSystem(SymmetrizationStream(2, 3))
     x = TensorPoly.monomial((PLUS, MINUS), (0, -1))
     y = TensorPoly.monomial((MINUS, PLUS), (0, -1), qpow(2))
     lhs = rs.normal_form(x + y)
@@ -79,7 +79,7 @@ def test_linearity_of_reduction():
 
 def test_soundness_and_completeness_small():
     rep = rewriter_soundness_check(2, kernel_build(2, 2, ("HEC", "HWT")),
-                                   kernel_build(2, 2))
+                                   kernel_build(2, 2), SymmetrizationStream(2, 2))
     assert rep.ok, rep.lines()
-    rep = rewriter_completeness_check(2, kernel_build(2, 3))
+    rep = rewriter_completeness_check(2, kernel_build(2, 3), SymmetrizationStream(2, 3))
     assert rep.ok, rep.lines()
