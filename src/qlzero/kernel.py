@@ -21,10 +21,10 @@ solved on request, cell by cell, against the generators regenerated from
 the span's families and caps, and is returned only after the sum it names
 has been recomputed and compared with the vector exactly.
 
-A run holds its windows in one KernelTable, which eliminates each span
-once: a window with fusion extends a copy of the exchange window of its
-depth rather than eliminating the exchange family again.  The table also
-generates each symmetrization stream once per run (SymmetrizationStream):
+A window with fusion has one builder, `full_window`: a copy of the
+exchange window of its N and depth, extended by the generators it lacks.
+A run holds its windows in one KernelTable, which builds or loads each
+span once, and generates each symmetrization stream once (SymmetrizationStream):
 the coefficient relations of the root-variable symmetrization families,
 grouped into exact scale classes, so that prop8 and the rewriter judge each
 class once and still count every relation.
@@ -221,8 +221,11 @@ def _eps_str(eps: tuple) -> str:
     return "".join("+" if s > 0 else "-" for s in eps) or "0"
 
 
-# family name -> generator family, a callable (n, cap) -> (vec, tag) pairs
-GENERATORS = {"HEC": iter_hec_generators, "FUS": iter_fus_generators}
+def _families(names) -> list:
+    """The generator families among the names, callables (n, cap) -> (vec,
+    tag) pairs, looked up by name when called, so a replaced one is used."""
+    return [fam for name, fam in (("HEC", iter_hec_generators),
+                                  ("FUS", iter_fus_generators)) if name in names]
 
 
 # -- the kernel basis --------------------------------------------------------
@@ -403,8 +406,7 @@ class KernelBasis:
         """(augmented basis, {tag: generator}) of one cell."""
         if self._generators is None:
             self._generators = {}
-            for gen, tag in self._generate(
-                    [g for fam, g in GENERATORS.items() if fam in self.families]):
+            for gen, tag in self._generate(_families(self.families)):
                 self._generators.setdefault(symbol_grade(next(iter(gen))), {})[tag] = gen
         gens = self._generators.get(grade, {})
         if grade not in self._cert_cells:
@@ -481,27 +483,27 @@ class KernelBasis:
         return kb
 
 
-def kernel_build(N: int, depth: int, families=("HEC", "FUS", "HWT")) -> KernelBasis:
+def kernel_build(N: int, depth: int, families=FAMILIES) -> KernelBasis:
     """Build the relation-window basis of the modes -depth..0 for the sector
     chain N, N-2, ...
 
-    The highest-weight family is realized structurally (cone windows); it
-    is listed in the manifest when requested.  Without FUS only the single
-    sector N is used.
+    The exchange window (the families without FUS, the single sector N) is
+    eliminated directly; with FUS the window is its `full_window`.  The
+    highest-weight family is realized structurally (cone windows); it is
+    listed in the manifest when requested.
     """
     if depth < 0:
         raise ValueError(f"relation windows need depth >= 0, got {depth}")
-    kb = KernelBasis(sector_caps(N, depth, "FUS" in families), families)
-    return kb.extend(*(gen for fam, gen in GENERATORS.items() if fam in families))
+    exch = tuple(f for f in families if f != "FUS")
+    kb = KernelBasis(sector_caps(N, depth, fusion=False), exch).extend(*_families(exch))
+    return full_window(kb, families) if "FUS" in families else kb
 
 
 def full_window(exch: KernelBasis, families=FAMILIES) -> KernelBasis:
-    """`kernel_build(N, depth, families)` from the exchange window of the
-    same N and depth (its families without FUS): a copy of it over the
-    whole sector chain, extended by the generators it lacks, FUS at every
-    sector and its own families below sector N.  The reduced echelon form
-    of a span is unique, so the rows and the counters, and with them
-    `save_text`, equal those of the direct build.
+    """The window of the same N and depth with FUS from the exchange window
+    exch (its families without FUS): a copy of it over the whole sector
+    chain, extended by the generators it lacks, FUS at every sector and its
+    own families below sector N.  exch is left unchanged.
     """
     if (len(exch.caps) != 1 or "FUS" not in families
             or sorted(exch.families) != sorted(set(families) - {"FUS"})):
@@ -511,11 +513,9 @@ def full_window(exch: KernelBasis, families=FAMILIES) -> KernelBasis:
     kb = exch.copy()
     kb.caps, kb.families = sector_caps(N, depth), tuple(families)
     for n, cap in kb.caps.items():
-        if n < 2:
-            continue
-        for fam, gen in GENERATORS.items():
-            if fam == "FUS" or (n < N and fam in families):
-                for vec, tag in gen(n, cap):
+        if n >= 2:
+            for family in _families(families if n < N else ("FUS",)):
+                for vec, tag in family(n, cap):
                     kb.add(vec, tag)
     return kb
 

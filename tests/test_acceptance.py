@@ -1,29 +1,40 @@
 """Acceptance gate: one check per criterion, at the stated sizes, with a
-printed pass/fail line each.  Everything is exact (zero tolerance).  Three
-checks sample: `affine.inverse` takes the first third of the window
-monomials, `rhosg.far` every 8th monomial, and `rewriter.idempotent` 6
-cells x 4 symbols.  Every other check covers every window monomial or
-element, and fusion compatibility runs at two, three and four slots.
+printed pass/fail line each.  Everything is exact (zero tolerance).  The
+criteria run through `cli.run_suite` on one kernel table, as
+`qlzero check` runs its jobs, so each relation window and symmetrization
+stream is built once for the module; criteria 7, 9 and 10 take their
+windows and streams from the same table.  Three checks sample:
+`affine.inverse` takes the first third of the window monomials,
+`rhosg.far` every 8th monomial, and `rewriter.idempotent` 6 cells x 4
+symbols.  Every other check covers every window monomial or element, and
+fusion compatibility runs at two, three and four slots.
 """
 
-from qlzero.affine import affine_hecke_suite, lemma_suite
-from qlzero.characters import character_check
+from qlzero.cli import run_suite
 from qlzero.fusion import rhof_check
-from qlzero.hecke import hecke_suite
-from qlzero.kernel import (EXCHANGE, KernelTable, SymmetrizationStream,
-                           iter_hec_generators, kernel_build, prop8_check,
-                           prop9_check, vec_to_tensor)
-from qlzero.level0 import chevalley_check, e0_apply, f0_apply, rhosg_check
+from qlzero.kernel import (EXCHANGE, FAMILIES, KernelTable, iter_hec_generators,
+                           vec_to_tensor)
+from qlzero.level0 import e0_apply, f0_apply
 from qlzero.locality import DECLARED_MARGINS, LEDGER
 from qlzero.report import CheckReport, record, tally
+from qlzero.rewrite import rewriter_completeness_check, rewriter_soundness_check
 from qlzero.scalars import qpow
-from qlzero.windows import Window
+
+TABLE = KernelTable()
 
 # the checks that compare nothing at the criteria's sizes: braid and
 # Yang-Baxter need three slots, far commutation a slot off the pair, and
 # the quotient Serre block is written at two slots only
 EMPTY_AT_THESE_SIZES = {"hecke.braid.S.N2", "hecke.braid.G.N2", "hecke.ybe.N2",
                         "affine.far.N2", "rhosg.far.N2", "chevalley.serre.N3"}
+
+
+def _jobs(rep: CheckReport, jobs) -> CheckReport:
+    """rep extended by the reports of `qlzero check` jobs (suite, n,
+    window[, p]), each run on TABLE."""
+    for suite, *cfg in jobs:
+        rep.extend(run_suite(suite, dict(zip(("n", "window", "p"), cfg)), TABLE))
+    return rep
 
 
 def _finish(tag: str, rep: CheckReport):
@@ -37,60 +48,49 @@ def _finish(tag: str, rep: CheckReport):
 
 
 def test_criterion_01_hecke_suite():
-    rep = CheckReport("criterion 1: Hecke layer")
-    for n in (2, 3, 4):
-        rep.extend(hecke_suite(n, Window(n, -4)))
-    for n in (5, 6):
-        rep.extend(hecke_suite(n, Window(n, -1)))
-    rep.extend(lemma_suite())
+    rep = _jobs(CheckReport("criterion 1: Hecke layer"),
+                [("hecke", n, "-4..0") for n in (2, 3, 4)]
+                + [("hecke", n, "-1..0") for n in (5, 6)] + [("lemmas",)])
     _finish("1 (Hecke relations, R-matrix, exchange rules)", rep)
 
 
 def test_criterion_02_affine_hecke_suite():
-    rep = CheckReport("criterion 2: affine Hecke layer")
-    for p in (qpow(3), qpow(4), qpow(5)):
-        for n in (2, 3, 4):
-            rep.extend(affine_hecke_suite(n, p, Window(n, -4)))
+    rep = _jobs(CheckReport("criterion 2: affine Hecke layer"),
+                [("affine-hecke", n, "-4..0", p)
+                 for p in ("q3", "q4", "q5") for n in (2, 3, 4)])
     _finish("2 (commuting family relations at three scales)", rep)
 
 
 def test_criterion_03_exchange_identity():
-    rep = CheckReport("criterion 3: twisted-generator exchange identity")
-    for p in (qpow(4), qpow(3)):
-        for n in (2, 3):
-            rep.extend(rhosg_check(n, p, Window(n, -4)))
-    rep.extend(rhosg_check(4, qpow(3), Window(4, -4)))
+    rep = _jobs(CheckReport("criterion 3: twisted-generator exchange identity"),
+                [("rhosg", n, "-4..0", p) for p in ("q4", "q3") for n in (2, 3)]
+                + [("rhosg", 4, "-4..0", "q3")])
     _finish("3 (exchange identity, both generators, generic scale)", rep)
 
 
 def test_criterion_04_normal_ordering_membership():
-    rep = CheckReport("criterion 4: normal-ordering membership")
-    for n, depth in ((2, 3), (3, 2)):
-        rep.extend(prop8_check(n, kernel_build(n, depth, EXCHANGE),
-                               SymmetrizationStream(n, depth)))
+    rep = _jobs(CheckReport("criterion 4: normal-ordering membership"),
+                [("prop8", 2, "-3..0"), ("prop8", 3, "-2..0")])
     _finish("4 (root symmetrizations in the exchange kernel + control)", rep)
 
 
 def test_criterion_05_span_equality():
-    rep = CheckReport("criterion 5: span equality")
-    rep.extend(prop9_check(2, kernel_build(2, 4, EXCHANGE)))
-    rep.extend(prop9_check(3, kernel_build(3, 3, EXCHANGE)))
+    rep = _jobs(CheckReport("criterion 5: span equality"),
+                [("prop9", 2, "-4..0"), ("prop9", 3, "-3..0")])
     _finish("5 (commutation vs exchange spans)", rep)
 
 
 def test_criterion_06_fusion_compatibility():
-    rep = CheckReport("criterion 6: fusion compatibility")
-    kernels = {n: kernel_build(n, 4) for n in (2, 3, 4)}
-    for n, kb in kernels.items():
-        rep.extend(rhof_check(n, kb))
-    rep.extend(rhof_check(2, kernels[2], p=qpow(3)))
+    # the N=2 job adds the q^3 control
+    rep = _jobs(CheckReport("criterion 6: fusion compatibility"),
+                [("rhof", n, "-4..0") for n in (2, 3, 4)])
     _finish("6 (fusion holds at q^4, fails at q^3)", rep)
 
 
-def _well_defined(rep: CheckReport, N: int, depth: int, kb):
+def _well_defined(rep: CheckReport, N: int, depth: int):
     """E0 and F0 carry every exchange generator into the kernel, so they
     act on the quotient at all."""
-    p = qpow(4)
+    p, kb = qpow(4), TABLE.get(N, depth, EXCHANGE)
 
     def images(vec):
         g = vec_to_tensor(vec, N)
@@ -106,38 +106,33 @@ def _well_defined(rep: CheckReport, N: int, depth: int, kb):
 
 def test_criterion_07_quotient_relations():
     rep = CheckReport("criterion 7: quotient relations")
-    kb2 = kernel_build(2, 4, EXCHANGE)
-    _well_defined(rep, 2, 4, kb2)
-    rep.extend(chevalley_check(2, kb2))
-    kb3 = kernel_build(3, 3, EXCHANGE)
-    _well_defined(rep, 3, 3, kb3)
-    rep.extend(chevalley_check(3, kb3))
+    for n, depth in ((2, 4), (3, 3)):
+        _well_defined(rep, n, depth)
+        _jobs(rep, [("chevalley", n, f"-{depth}..0")])
     _finish("7 (defining relations on the quotient)", rep)
 
 
 def test_criterion_08_characters():
-    rep = character_check(KernelTable())
+    rep = _jobs(CheckReport("characters d<=6"), [("characters",)])
     _finish("8 (graded dimensions vs level-1 oracle, degrees <= 6)", rep)
 
 
 def test_criterion_09_rewriter():
-    from qlzero.rewrite import rewriter_completeness_check, rewriter_soundness_check
-
     rep = CheckReport("criterion 9: rewriter")
     for n, depth in ((2, 3), (3, 2)):
-        rep.extend(rewriter_soundness_check(n, kernel_build(n, depth, EXCHANGE),
-                                            kernel_build(n, depth),
-                                            SymmetrizationStream(n, depth)))
+        rep.extend(rewriter_soundness_check(n, TABLE.get(n, depth, EXCHANGE),
+                                            TABLE.get(n, depth, FAMILIES),
+                                            TABLE.stream(n, depth)))
     for n, depth in ((2, 4), (3, 3)):
-        rep.extend(rewriter_completeness_check(n, kernel_build(n, depth),
-                                               SymmetrizationStream(n, depth)))
+        rep.extend(rewriter_completeness_check(n, TABLE.get(n, depth, FAMILIES),
+                                               TABLE.stream(n, depth)))
     _finish("9 (rewrite rules certified; counts equal quotient ranks)", rep)
 
 
 def test_criterion_10_locality_ledger():
     # the ledger is process-wide: run a fusion check so that the series
     # generators are observed even when this test runs alone
-    assert rhof_check(2, kernel_build(2, 2)).ok
+    assert rhof_check(2, TABLE.get(2, 2, FAMILIES)).ok
     observed = set(DECLARED_MARGINS) <= set(LEDGER.observed)
     ok = observed and LEDGER.ok
     print(f"\nACCEPTANCE 10 (locality margins): {'PASS' if ok else 'FAIL'}"

@@ -286,7 +286,8 @@ def test_check_eliminates_each_span_once(tmp_path, monkeypatch, capsys):
 
 def test_check_generates_each_stream_once(tmp_path, monkeypatch, capsys):
     # prop8 and the rewriter share one symmetrization stream, whose fusion
-    # generators soundness and the rewriting system share
+    # generators soundness and the rewriting system share; the full windows
+    # extract sector N's fusion generators once more each
     from collections import Counter
 
     from qlzero import cli, kernel
@@ -308,7 +309,7 @@ def test_check_generates_each_stream_once(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"suites": IDEAL_JOBS}))
     assert cli.main(["check", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert made == Counter({("AB", 2, 4): 1, ("FUS", 2, 4): 1})
+    assert made == Counter({("AB", 2, 4): 1, ("FUS", 2, 4): 2, ("FUS", 3, 4): 1})
 
 
 def test_kernel_cache_keyed_by_full_family_names(tmp_path):

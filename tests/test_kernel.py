@@ -6,6 +6,7 @@ import pytest
 from qlzero import kernel
 from qlzero.kernel import (
     EXCHANGE,
+    FAMILIES,
     KernelBasis,
     KernelTable,
     SymmetrizationStream,
@@ -128,8 +129,9 @@ def test_member_rejects_out_of_window():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        kernel_build(2, -1)
+    for families in (EXCHANGE, FAMILIES):
+        with pytest.raises(ValueError):
+            kernel_build(2, -1, families)
 
 
 def test_persistence_round_trip():
@@ -156,8 +158,10 @@ def test_save_text_matches_golden_digest():
 
 @pytest.mark.parametrize("N,depth", [(2, 4), (3, 3), (3, 4), (4, 2)])
 def test_full_window_extends_the_exchange_window(N, depth):
-    # at N=4 the extension adds exchange generators at sector 2 as well
-    direct = kernel_build(N, depth)
+    # against the whole chain eliminated at once; at N=4 the extension adds
+    # exchange generators at sector 2 as well
+    direct = KernelBasis(sector_caps(N, depth), FAMILIES).extend(
+        iter_hec_generators, iter_fus_generators)
     exch = kernel_build(N, depth, EXCHANGE)
     before = exch.save_text()
     derived = full_window(exch)
